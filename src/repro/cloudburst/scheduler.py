@@ -499,14 +499,17 @@ class Scheduler:
         """
         upstream = dag.upstream_of(name)
         ready_ms = fork_join.ready_at(upstream)
-        branch = RequestContext(clock=SimClock(ready_ms),
-                                metadata=dict(ctx.metadata),
-                                record_charges=ctx.record_charges)
         pinned = self.pinned_threads(name)
         args = [results[u] for u in upstream] + list(function_args.get(name, ()))
         thread = self._pick_executor(name, args, candidates=pinned or None,
                                      now_ms=ready_ms)
         self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
+        # Fork only after the prefetch stamped its epoch into ``ctx``: the
+        # branch must carry it, or this function's reads see their own
+        # in-flight prefetch as landed and skip the residual wait.
+        branch = RequestContext(clock=SimClock(ready_ms),
+                                metadata=dict(ctx.metadata),
+                                record_charges=ctx.record_charges)
         function_span = None
         if ctx.span is not None:
             # One child span per DAG function, started at its fork/join ready

@@ -194,3 +194,32 @@ class TestSchedulerDrivenPrefetch:
                        ctx=ctx).result()
             latencies[knob] = ctx.clock.now_ms
         assert latencies[True] < latencies[False]
+
+
+class TestPrefetchEpochOnDagBranches:
+    def _prefetch_wait(self, as_dag):
+        cluster = CloudburstCluster(executor_vms=1, threads_per_vm=1, seed=5)
+        cloud = cluster.connect()
+        cloud.put("ref-key", "x" * 200_000)
+
+        def size(cloudburst, ref):
+            return len(ref)
+
+        cloud.register(size, name="size")
+        cloud.register_dag("sized", ["size"])
+        ctx = RequestContext(clock=SimClock())
+        args = [CloudburstReference("ref-key")]
+        if as_dag:
+            future = cloud.call_dag("sized", {"size": args}, ctx=ctx)
+        else:
+            future = cloud.call("size", args, ctx=ctx)
+        assert future.result().value == 200_000
+        return ctx.total("cache", "prefetch_wait")
+
+    def test_first_dag_function_pays_the_same_residual_wait_as_a_call(self):
+        # The branch context a DAG function runs on must carry the prefetch
+        # epoch its placement stamped, or the read sees the in-flight entry
+        # as landed by another execution and skips the residual wait.
+        single = self._prefetch_wait(as_dag=False)
+        assert single > 0.0
+        assert self._prefetch_wait(as_dag=True) == pytest.approx(single, abs=1e-9)
