@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..cloudburst.controlplane import ComputeControlPlane
 from ..cloudburst.references import CloudburstFuture
-from ..errors import StorageOverloadError
+from ..errors import DagExecutionError, StorageOverloadError
 from ..sim import (
     Engine,
     LatencyRecorder,
@@ -255,12 +255,13 @@ class EngineLoadDriver:
                              record_charges=self.record_charges)
         try:
             future = self.request_fn(self._client_for(client), ctx, index)
-        except StorageOverloadError:
-            # Every replica of some key pushed back: this request fails fast
-            # (its partial latency is discarded) and the closed loop retries
-            # from the virtual time the rejection happened at, so one
-            # saturated replica set degrades throughput instead of unwinding
-            # the whole run.
+        except (StorageOverloadError, DagExecutionError):
+            # A synchronous request failed (every replica of some key pushed
+            # back on app-level storage access, or a single call exhausted
+            # its §4.5 retries): it fails fast (its partial latency is
+            # discarded) and the closed loop retries from the virtual time
+            # the failure happened at, so one saturated replica set degrades
+            # throughput instead of unwinding the whole run.
             self.inflight -= 1
             self.failed += 1
             return ctx.clock.now_ms

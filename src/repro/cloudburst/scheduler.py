@@ -14,16 +14,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..anna import AnnaCluster
-from ..errors import (
-    DagExecutionError,
-    ExecutorFailedError,
-    FunctionNotFoundError,
-    SchedulingError,
-    StorageOverloadError,
-)
+from ..errors import FunctionNotFoundError, SchedulingError
 from ..lattices import SetLattice
 from ..obs import LatencyHistogram
-from ..sim import ForkJoin, LatencyModel, RandomSource, RequestContext, SimClock
+from ..sim import Engine, ForkJoin, LatencyModel, RandomSource, RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
 from .dag import Dag, DagRegistry
@@ -236,84 +230,24 @@ class Scheduler:
         by_id = {thread.thread_id: thread for thread in self._live_threads()}
         return [by_id[tid] for tid in self.function_pins.get(name, []) if tid in by_id]
 
-    # -- invocation: single functions ------------------------------------------------------
+    # -- invocation (§4.3 placement, §4.5 re-execution) ----------------------------------
     def call(self, function_name: str, args: Sequence[Any] = (),
              consistency: Optional[ConsistencyLevel] = None,
              store_in_kvs: bool = False,
              ctx: Optional[RequestContext] = None) -> ExecutionResult:
-        """Schedule and execute a single function invocation."""
-        if not self.alive:
-            raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
-        level = consistency or self.default_consistency
-        ctx = ctx or RequestContext()
-        root_span = ctx.span
-        start_ms = ctx.clock.now_ms
-        self.stats.record_function_call(function_name)
-        self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
-        self.latency_model.charge(ctx, "cloudburst", "schedule")
-        if root_span is not None:
-            root_span.child("schedule", "scheduler", start_ms,
-                            node=self.scheduler_id).finish(ctx.clock.now_ms)
-        retries = 0
-        failed_span = None
-        while True:
-            # Each §4.5 attempt runs under a fresh session: reusing one state
-            # across retries leaked the failed attempt's snapshot pins and
-            # shadow reads into the retry's (different) execution.
-            state = SessionState.create(level)
-            protocol = self._make_protocol(level)
-            thread = self._pick_executor(function_name, args,
-                                         now_ms=ctx.clock.now_ms)
-            self._prefetch_placed_references(thread, args, ctx.clock.now_ms,
-                                             ctx, state)
-            self.latency_model.charge(ctx, "cloudburst", "scheduler_to_executor")
-            attempt_span = None
-            if root_span is not None:
-                attempt_span = root_span.child(
-                    f"attempt:{function_name}", "scheduler", ctx.clock.now_ms,
-                    node=self.scheduler_id).annotate(
-                        "execution_id", state.execution_id)
-                if failed_span is not None:
-                    # A retry supersedes the failed attempt; the failed span
-                    # is finished, so the edge is a link, not ancestry.
-                    attempt_span.link("retry_of", failed_span.span_id)
-                ctx.span = attempt_span
-            try:
-                value = self._run_on_thread(thread, function_name, args, ctx, state, protocol)
-                if attempt_span is not None:
-                    attempt_span.finish(ctx.clock.now_ms)
-                    ctx.span = root_span
-                break
-            except ExecutorFailedError:
-                # Release the failed attempt before retrying or raising —
-                # snapshots and shadow reads must never outlive the attempt
-                # that pinned them.
-                self._release_session(state, protocol)
-                if attempt_span is not None:
-                    attempt_span.annotate("error", "ExecutorFailedError")
-                    attempt_span.finish(ctx.clock.now_ms)
-                    failed_span = attempt_span
-                    ctx.span = root_span
-                retries += 1
-                if retries > self.max_retries:
-                    raise DagExecutionError(
-                        f"function {function_name!r} failed after {retries} attempts")
-                ctx.charge("cloudburst", "fault_timeout", self.fault_timeout_ms)
-        result_key = None
-        if store_in_kvs:
-            result_key = f"__cloudburst_results__/{state.execution_id}"
-            self.kvs.put_plain(result_key, value, ctx)
-        else:
-            self.latency_model.charge(ctx, "cloudburst", "result_to_client")
-        protocol.finalize(state, self._cache_registry())
-        self._complete_anomaly_tracking(state)
-        latency_ms = ctx.clock.now_ms - start_ms
-        self.latency_histogram.record(latency_ms)
-        return ExecutionResult(value=value, latency_ms=latency_ms,
-                               execution_id=state.execution_id, ctx=ctx,
-                               retries=retries, result_key=result_key, session=state)
+        """Schedule and execute a single function invocation.
 
-    # -- invocation: DAGs ---------------------------------------------------------------------
+        A single call is a one-node DAG session drained on a private engine,
+        so it completes on ``ctx`` inside the caller's current event, also on
+        an engine-attached cluster.  Unlike a DAG function it is placed over
+        every live thread, never only over the threads its DAGs pinned it on.
+        """
+        self._check_alive()
+        self.stats.record_function_call(function_name)
+        return self._run_inline(Dag(function_name, [function_name]),
+                                {function_name: args}, consistency, store_in_kvs,
+                                ctx, single_call=True)
+
     def call_dag(self, dag_name: str, function_args: Optional[Dict[str, Sequence[Any]]] = None,
                  consistency: Optional[ConsistencyLevel] = None,
                  store_in_kvs: bool = False,
@@ -327,179 +261,108 @@ class Scheduler:
         upstream functions are automatically prepended to downstream argument
         lists (§3).
 
-        Without ``engine`` the DAG runs to completion inside this call and an
-        :class:`ExecutionResult` is returned.  With ``engine`` the execution
-        is decomposed into discrete events on that engine (each function fires
-        at its fork/join ready time, so concurrent sessions genuinely
-        interleave) and a :class:`~repro.cloudburst.sessions.DagSession` is
-        returned immediately;
-        completion is delivered to ``on_complete``/``on_error``.  The
-        event-per-function path is charge-for-charge identical to the inline
-        path — the single-client parity tests pin that.
+        Every DAG runs as a :class:`~repro.cloudburst.sessions.DagSession`:
+        each function is an engine event fired at its fork/join ready time.
+        Without ``engine`` the session drains on a private engine inside this
+        call and an :class:`ExecutionResult` is returned (or the
+        :class:`DagExecutionError` of exhausted retries raised).  With
+        ``engine`` the session is enqueued on that shared engine, so
+        concurrent sessions genuinely interleave, and is returned immediately;
+        completion goes to ``on_complete``, exhausted retries to ``on_error``
+        (without ``on_error`` the error unwinds the engine loop).  Every
+        session is journaled, so a scheduler that crashes and restarts
+        resumes the in-flight ones.
         """
-        if not self.alive:
-            raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
-        level = consistency or self.default_consistency
-        function_args = function_args or {}
-        if engine is not None:
-            return self._call_dag_on_engine(
-                dag_name, function_args, level, engine, ctx, store_in_kvs,
-                on_complete, on_error)
-        if on_complete is not None or on_error is not None:
+        self._check_alive()
+        if engine is None and (on_complete is not None or on_error is not None):
             raise ValueError(
                 "on_complete/on_error need an engine backend: without one the "
                 "DAG executes inline and call_dag returns the result directly")
-        ctx = ctx or RequestContext()
-        root_span = ctx.span
-        start_ms = ctx.clock.now_ms
         dag = self.dag_registry.get(dag_name)
         self.dag_registry.record_call(dag_name)
         self.stats.record_dag_call(dag_name)
-        self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
-        self.latency_model.charge(ctx, "cloudburst", "schedule")
-        if root_span is not None:
-            root_span.child("schedule", "scheduler", start_ms,
-                            node=self.scheduler_id).finish(ctx.clock.now_ms)
-        retries = 0
-        failed_span = None
-        while True:
-            state = SessionState.create(level)
-            protocol = self._make_protocol(level)
-            attempt_span = None
-            if root_span is not None:
-                attempt_span = root_span.child(
-                    f"attempt:{dag_name}", "scheduler", ctx.clock.now_ms,
-                    node=self.scheduler_id).annotate(
-                        "execution_id", state.execution_id)
-                if failed_span is not None:
-                    attempt_span.link("retry_of", failed_span.span_id)
-                ctx.span = attempt_span
-            try:
-                value = self._execute_dag(dag, function_args, ctx, state, protocol)
-                if attempt_span is not None:
-                    attempt_span.finish(ctx.clock.now_ms)
-                    ctx.span = root_span
-                break
-            except ExecutorFailedError:
-                # §4.5: if a machine fails mid-DAG, the whole DAG re-executes
-                # after a configurable timeout.  The failed attempt's session
-                # must be released first — its pinned snapshots and shadow
-                # reads would otherwise leak, since the retry runs under a
-                # fresh execution id.
-                self._release_session(state, protocol)
-                if attempt_span is not None:
-                    attempt_span.annotate("error", "ExecutorFailedError")
-                    attempt_span.finish(ctx.clock.now_ms)
-                    failed_span = attempt_span
-                    ctx.span = root_span
-                retries += 1
-                if retries > self.max_retries:
-                    raise DagExecutionError(
-                        f"DAG {dag_name!r} failed after {retries} attempts")
-                ctx.charge("cloudburst", "fault_timeout", self.fault_timeout_ms)
-        result_key = None
-        if store_in_kvs:
-            result_key = f"__cloudburst_results__/{state.execution_id}"
-            self.kvs.put_plain(result_key, value, ctx)
-        else:
-            self.latency_model.charge(ctx, "cloudburst", "result_to_client")
-        protocol.finalize(state, self._cache_registry())
-        self._complete_anomaly_tracking(state)
-        latency_ms = ctx.clock.now_ms - start_ms
-        self.latency_histogram.record(latency_ms)
-        return ExecutionResult(value=value, latency_ms=latency_ms,
-                               execution_id=state.execution_id, ctx=ctx,
-                               retries=retries, result_key=result_key, session=state)
-
-    def _call_dag_on_engine(self, dag_name: str,
-                            function_args: Dict[str, Sequence[Any]],
-                            level: ConsistencyLevel,
-                            engine,
-                            ctx: Optional[RequestContext],
-                            store_in_kvs: bool,
-                            on_complete: Optional[Callable[["ExecutionResult"], None]],
-                            on_error: Optional[Callable[[Exception], None]],
-                            ) -> DagSession:
-        """Schedule a DAG execution as discrete events on a shared engine.
-
-        The inline path runs a whole DAG to completion inside one Python
-        call, so even when two sessions' *virtual* times overlap their cache
-        and snapshot accesses can never actually interleave.  This path turns
-        every DAG function into its own engine event fired at the function's
-        fork/join ready time: many in-flight sessions genuinely interleave
-        their reads, writes, snapshot pins and update propagation on one
-        timeline — which is what the §6.2 consistency experiments need.  The
-        sink event finalizes the session (snapshot eviction, anomaly
-        accounting) and hands an :class:`ExecutionResult` to ``on_complete``.
-        If the DAG exhausts its §4.5 retries, the failure goes to
-        ``on_error`` when provided (so one poisoned session cannot abort a
-        whole multi-client driver run); without ``on_error`` the
-        :class:`DagExecutionError` propagates out of the engine loop,
-        matching the inline contract.
-
-        Every session opened here is journaled (:class:`SessionJournal`): a
-        scheduler that crashes and restarts resumes the in-flight ones.
-        """
+        function_args = function_args or {}
+        if engine is None:
+            return self._run_inline(dag, function_args, consistency,
+                                    store_in_kvs, ctx)
         ctx = ctx or RequestContext(clock=SimClock(engine.now_ms))
+        return self._start_session(dag, function_args, consistency, store_in_kvs,
+                                   ctx, engine, on_complete, on_error)
+
+    def _check_alive(self) -> None:
+        if not self.alive:
+            raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
+
+    def _start_session(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
+                       consistency: Optional[ConsistencyLevel],
+                       store_in_kvs: bool, ctx: RequestContext, engine,
+                       on_complete=None, on_error=None,
+                       single_call: bool = False) -> DagSession:
+        """The request header every invocation shares, then its session.
+
+        Charges the client-to-scheduler hop and the placement decision,
+        records the ``schedule`` span and starts the session's sources.
+        """
         start_ms = ctx.clock.now_ms
-        dag = self.dag_registry.get(dag_name)
-        self.dag_registry.record_call(dag_name)
-        self.stats.record_dag_call(dag_name)
         self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
         self.latency_model.charge(ctx, "cloudburst", "schedule")
         if ctx.span is not None:
             ctx.span.child("schedule", "scheduler", start_ms,
                            node=self.scheduler_id).finish(ctx.clock.now_ms)
         session = DagSession(self, dag, function_args, ctx, start_ms,
-                             level, engine, on_complete, on_error,
-                             store_in_kvs=store_in_kvs)
+                             consistency or self.default_consistency, engine,
+                             on_complete, on_error, store_in_kvs=store_in_kvs,
+                             single_call=single_call)
         session.start()
         return session
 
-    def _execute_dag(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
-                     ctx: RequestContext, state: SessionState, protocol) -> Any:
-        """Run every DAG function in dependency order with fork/join timing.
+    def _run_inline(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
+                    consistency: Optional[ConsistencyLevel], store_in_kvs: bool,
+                    ctx: Optional[RequestContext],
+                    single_call: bool = False) -> ExecutionResult:
+        """Run one session to completion on a private engine.
 
-        Branch timing rides on the engine's :class:`~repro.sim.engine.ForkJoin`
-        primitive: each function forks a branch context at the moment its
-        upstream branches finish, executors are picked with the utilization
-        they will have *at that moment*, and the request joins at the slowest
-        sink.  Parallel stages therefore genuinely interleave — two siblings
-        forked at the same ready time queue against the same executor pool.
+        The private engine never touches the cluster's shared one, so an
+        inline request can run from inside a shared engine event.  A session
+        the drain leaves unfinished (a function raised, or this scheduler
+        died mid-request) is aborted so no recovery path resumes it later.
         """
-        order = dag.topological_order()
-        results: Dict[str, Any] = {}
-        fork_join = ForkJoin(base_ms=ctx.clock.now_ms)
-        branches: List[RequestContext] = []
-        for name in order:
-            value, branch, _ = self._dispatch_function(dag, name, results, function_args,
-                                                       fork_join, ctx, state, protocol)
-            results[name] = value
-            fork_join.complete(name, branch.clock.now_ms)
-            branches.append(branch)
-        ctx.join(branches)
-        sinks = dag.sinks
-        if len(sinks) == 1:
-            return results[sinks[0]]
-        return {sink: results[sink] for sink in sinks}
+        ctx = ctx or RequestContext()
+        engine = Engine(start_ms=ctx.clock.now_ms)
+        session = self._start_session(dag, function_args, consistency,
+                                      store_in_kvs, ctx, engine,
+                                      single_call=single_call)
+        try:
+            engine.run()
+        finally:
+            if not session.done:
+                session.abort("request did not complete")
+        if session.result is None:
+            raise SchedulingError(
+                f"scheduler {self.scheduler_id!r} went down mid-request")
+        return session.result
 
     def _dispatch_function(self, dag: Dag, name: str, results: Dict[str, Any],
                            function_args: Dict[str, Sequence[Any]],
                            fork_join: ForkJoin, ctx: RequestContext,
-                           state: SessionState, protocol
+                           state: SessionState, protocol,
+                           single_call: bool = False
                            ) -> Tuple[Any, RequestContext, ExecutorThread]:
         """Place and run one DAG function at its fork/join ready time.
 
-        Shared by the sequential loop above and the engine-event path
-        (:class:`~repro.cloudburst.sessions.DagSession`) so the two stay
-        charge-for-charge identical — the single-client cross-check in the
-        consistency tests depends on that parity.  Returns
+        Branch timing rides on :class:`~repro.sim.engine.ForkJoin`: the
+        function forks a branch context at the moment its upstream branches
+        finish and is placed with the utilization executors will have at
+        that moment.  A ``single_call`` is placed over every live thread, not
+        only the threads its DAGs pinned it on, and runs on ``ctx`` itself:
+        there is nothing to join, and a failed attempt's elapsed time stays
+        on the request ahead of the §4.5 fault timeout.  Returns
         ``(value, branch_context, thread)``; the thread feeds the session
         journal's placement record.
         """
         upstream = dag.upstream_of(name)
         ready_ms = fork_join.ready_at(upstream)
-        pinned = self.pinned_threads(name)
+        pinned = None if single_call else self.pinned_threads(name)
         args = [results[u] for u in upstream] + list(function_args.get(name, ()))
         thread = self._pick_executor(name, args, candidates=pinned or None,
                                      now_ms=ready_ms)
@@ -507,15 +370,16 @@ class Scheduler:
         # Fork only after the prefetch stamped its epoch into ``ctx``: the
         # branch must carry it, or this function's reads see their own
         # in-flight prefetch as landed and skip the residual wait.
-        branch = RequestContext(clock=SimClock(ready_ms),
-                                metadata=dict(ctx.metadata),
-                                record_charges=ctx.record_charges)
+        branch = ctx if single_call else RequestContext(
+            clock=SimClock(ready_ms), metadata=dict(ctx.metadata),
+            record_charges=ctx.record_charges)
+        parent_span = ctx.span
         function_span = None
-        if ctx.span is not None:
-            # One child span per DAG function, started at its fork/join ready
+        if parent_span is not None:
+            # One child span per function, started at its fork/join ready
             # time; the executor/cache/storage spans nest under it via the
             # branch context.
-            function_span = ctx.span.child(
+            function_span = parent_span.child(
                 f"function:{name}", "scheduler", ready_ms,
                 node=self.scheduler_id).annotate("thread", thread.thread_id)
             branch.span = function_span
@@ -530,10 +394,11 @@ class Scheduler:
         except Exception:
             if function_span is not None:
                 function_span.annotate("error", True)
-                function_span.finish(branch.clock.now_ms)
             raise
-        if function_span is not None:
-            function_span.finish(branch.clock.now_ms)
+        finally:
+            if function_span is not None:
+                function_span.finish(branch.clock.now_ms)
+                ctx.span = parent_span
         return value, branch, thread
 
     def _prefetch_placed_references(self, thread: ExecutorThread,

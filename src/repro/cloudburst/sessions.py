@@ -251,10 +251,11 @@ class SessionJournal:
 class DagSession:
     """One in-flight DAG execution decomposed into engine events.
 
-    Mirrors :meth:`Scheduler._execute_dag` — same charges, same fork/join
-    timing, same consistency-protocol calls — but each function runs in its
-    own engine event at its ready time, so concurrent sessions interleave
-    their cache accesses in the order virtual time dictates.  Every status
+    The scheduler's only attempt machine: single calls (one-node DAGs),
+    inline DAGs (drained on a private engine) and engine-backed DAGs all run
+    here.  Each function runs in its own engine event at its fork/join ready
+    time, so concurrent sessions interleave their cache accesses in the
+    order virtual time dictates.  Every status
     transition is appended to the owning scheduler's
     :class:`SessionJournal`; failed attempts release their session state
     (snapshots, shadow reads) *before* anything can resolve the caller's
@@ -267,7 +268,7 @@ class DagSession:
                  start_ms: float, level: ConsistencyLevel, engine,
                  on_complete: Optional[Callable[["ExecutionResult"], None]],
                  on_error: Optional[Callable[[Exception], None]] = None,
-                 store_in_kvs: bool = False):
+                 store_in_kvs: bool = False, single_call: bool = False):
         self.scheduler = scheduler
         self.dag = dag
         self.function_args = function_args
@@ -278,6 +279,9 @@ class DagSession:
         self.on_complete = on_complete
         self.on_error = on_error
         self.store_in_kvs = store_in_kvs
+        #: A one-node session for ``Scheduler.call``: placed over every live
+        #: thread and run on ``ctx`` itself (see ``_dispatch_function``).
+        self.single_call = single_call
         self.done = False
         self.result: Optional["ExecutionResult"] = None
         self.error: Optional[Exception] = None
@@ -349,7 +353,8 @@ class DagSession:
         try:
             value, branch, thread = self.scheduler._dispatch_function(
                 self.dag, name, self.results, self.function_args,
-                self.fork_join, self.ctx, self.state, self.protocol)
+                self.fork_join, self.ctx, self.state, self.protocol,
+                self.single_call)
         except (ExecutorFailedError, StorageOverloadError) as exc:
             # A dead executor and a saturated storage replica set get the
             # same §4.5 treatment: the attempt fails, the session pays the
@@ -359,7 +364,8 @@ class DagSession:
             return
         self.results[name] = value
         self.fork_join.complete(name, branch.clock.now_ms)
-        self.branches.append(branch)
+        if branch is not self.ctx:
+            self.branches.append(branch)
         self.remaining -= 1
         self.scheduler.journal.record_completed(
             self.record, name, branch.clock.now_ms, thread.thread_id,
@@ -444,6 +450,20 @@ class DagSession:
         self._reset_attempt()
         self.engine.at(self.ctx.clock.now_ms, self.start)
 
+    def abort(self, reason: str) -> None:
+        """Close a session whose engine drained without finishing it.
+
+        An inline request's private engine is gone once the call returns:
+        releasing the attempt and closing the journal record here keeps a
+        later crash recovery or fault from resuming it on that engine.
+        """
+        self.scheduler._release_session(self.state, self.protocol)
+        journal = self.scheduler.journal
+        journal.record_attempt_failure(self.record, reason)
+        self._close_attempt_span(reason, "retry_of")
+        self.done = True
+        journal.close(self.record, SESSION_FAILED)
+
     def _close_attempt_span(self, reason: str, relation: str) -> None:
         """Finish the superseded attempt's span and remember it for linking.
 
@@ -469,8 +489,7 @@ class DagSession:
         sinks = self.dag.sinks
         value = (self.results[sinks[0]] if len(sinks) == 1
                  else {sink: self.results[sink] for sink in sinks})
-        # Mirror the inline call_dag tail exactly (parity): store-to-KVS
-        # replaces the result_to_client charge, never adds to it.
+        # Store-to-KVS replaces the result_to_client charge, never adds to it.
         result_key = None
         if self.store_in_kvs:
             result_key = f"__cloudburst_results__/{self.state.execution_id}"

@@ -22,7 +22,7 @@ from repro import CloudburstCluster
 from repro.apps.prediction import deploy_on_cloudburst, make_image
 from repro.bench.harness import run_engine_closed_loop
 from repro.errors import ExecutorFailedError
-from repro.sim import RequestContext
+from repro.sim import ComputeModel, Engine, LatencyModel, RequestContext
 
 
 def _digest(latencies):
@@ -154,3 +154,40 @@ def test_seeded_timeline_matches_golden(scenario):
     assert retries == expected_retries
     assert _digest(latencies) == expected_digest
 
+
+
+
+def _diamond_order(on_engine):
+    """Stage order of ``a→b→c→f, a→d→e→f`` with jitter off (ties by issue order)."""
+    cluster = CloudburstCluster(
+        executor_vms=2, threads_per_vm=2, seed=1,
+        latency_model=LatencyModel(jitter_enabled=False),
+        compute_model=ComputeModel(jitter_sigma=0.0))
+    cloud = cluster.connect()
+    order = []
+
+    def stage(name):
+        def body(*upstream):
+            order.append(name)
+            return name
+        return body
+
+    for name in "abcdef":
+        cloud.register(stage(name), name=name)
+    cloud.register_dag("diamond", list("abcdef"),
+                       [("a", "b"), ("b", "c"), ("c", "f"),
+                        ("a", "d"), ("d", "e"), ("e", "f")])
+    if on_engine:
+        cluster.attach_engine(Engine())
+    try:
+        assert cloud.call_dag("diamond").get() == "f"
+    finally:
+        cluster.detach_engine()
+    return order
+
+
+def test_inline_dag_runs_functions_in_ready_time_order():
+    """b and d become ready together, so the second stage of each branch runs
+    before either branch's third stage, inline exactly as on an engine."""
+    assert _diamond_order(on_engine=False) == ["a", "b", "d", "c", "e", "f"]
+    assert _diamond_order(on_engine=True) == ["a", "b", "d", "c", "e", "f"]
