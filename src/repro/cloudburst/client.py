@@ -208,17 +208,6 @@ class CloudburstClient:
                            on_complete=complete, on_error=errored)
         return future
 
-    def call_dag_async(self, dag_name: str,
-                       function_args: Optional[Dict[str, Sequence[Any]]] = None,
-                       consistency: Optional[ConsistencyLevel] = None) -> CloudburstFuture:
-        """Deprecated alias: ``call_dag`` is future-returning on every backend.
-
-        Kept for older callers; equivalent to
-        ``call_dag(..., store_in_kvs=True)``.
-        """
-        return self.call_dag(dag_name, function_args, store_in_kvs=True,
-                             consistency=consistency)
-
     # -- helpers -------------------------------------------------------------------------
     def reference(self, key: str) -> CloudburstReference:
         """Convenience constructor mirroring ``CloudburstReference(key)``."""

@@ -22,6 +22,7 @@ from repro.bench.consistency_bench import _run_level_engine, _run_level_sequenti
 from repro.bench.harness import EngineLoadDriver
 from repro.bench import run_table2
 from repro.cloudburst import CloudburstCluster, ConsistencyLevel
+from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.monitoring import AutoscalingPolicy, MonitoringConfig
 from repro.sim import Engine
 
@@ -340,8 +341,9 @@ class TestScaleDownClosesCaches:
         driver = EngineLoadDriver(
             cluster, lambda cloud, ctx, index: cloud.call("work", [index], ctx=ctx),
             clients=12, stop_ms=6_000.0, max_duration_ms=10_000.0,
-            policy=AutoscalingPolicy(config), policy_interval_ms=1_000.0,
-            min_threads=2)
+            control_plane=ComputeControlPlane(
+                cluster, policy=AutoscalingPolicy(config), config=config,
+                policy_interval_ms=1_000.0, min_threads=2))
         driver.run()
         drained = [vm for vm in cluster.vms
                    if not any(thread.alive for thread in vm.threads)]
