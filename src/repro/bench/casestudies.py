@@ -21,11 +21,11 @@ from ..sim import (
     LatencyRecorder,
     RandomSource,
     RequestContext,
-    SimulationResult,
 )
 from ..workloads.social import SocialWorkloadGenerator
 from .harness import (
     ComparisonResult,
+    SimulationResult,
     build_cluster_with_threads,
     run_closed_loop,
     run_engine_closed_loop,

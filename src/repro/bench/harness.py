@@ -20,7 +20,7 @@ Two request drivers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cloudburst.controlplane import ComputeControlPlane
 from ..cloudburst.references import CloudburstFuture
@@ -31,10 +31,27 @@ from ..sim import (
     LatencySummary,
     RequestContext,
     SimClock,
-    SimulationResult,
+    ThroughputPoint,
     format_table,
 )
 from ..sim.stats import build_throughput_curve
+
+
+@dataclass
+class SimulationResult:
+    """Everything a throughput experiment needs to report."""
+
+    latencies: LatencyRecorder
+    throughput_curve: List[ThroughputPoint]
+    completed_requests: int
+    duration_ms: float
+    capacity_timeline: List[Tuple[float, int]]
+
+    @property
+    def overall_throughput_per_s(self) -> float:
+        if self.duration_ms <= 0:
+            return 0.0
+        return self.completed_requests / (self.duration_ms / 1000.0)
 
 
 def run_closed_loop(label: str, request_fn: Callable[[int], float],

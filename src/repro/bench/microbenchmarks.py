@@ -47,7 +47,6 @@ from ..sim import (
     LatencyModel,
     RandomSource,
     RequestContext,
-    SimulationResult,
     ZipfGenerator,
 )
 from ..workloads.arrays import (
@@ -61,6 +60,7 @@ from ..workloads.arrays import (
 from .harness import (
     ComparisonResult,
     EngineLoadDriver,
+    SimulationResult,
     SweepResult,
     build_cluster_with_threads,
     run_closed_loop,

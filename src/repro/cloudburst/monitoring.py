@@ -14,16 +14,16 @@ asynchronously aggregates them and feeds a policy engine.  The policy:
 Two interfaces are provided: :class:`MonitoringSystem` operates directly on a
 :class:`~repro.cloudburst.cluster.CloudburstCluster` (used by tests and the
 examples), and :class:`AutoscalingPolicy` packages the same thresholds as a
-policy function for the discrete-event simulation that regenerates Figure 7.
+policy function that the engine-driven compute control plane
+(:mod:`repro.cloudburst.controlplane`) ticks to regenerate Figure 7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import DagNotFoundError, SchedulingError
-from ..sim import AutoscalerDecision
 from .executor import EXECUTOR_METRICS_PREFIX
 
 #: Anna key prefix under which schedulers publish their call statistics
@@ -248,12 +248,31 @@ class MonitoringSystem:
         return report
 
 
-class AutoscalingPolicy:
-    """The §4.4 policy expressed for the discrete-event simulation (Figure 7).
+@dataclass
+class AutoscalerDecision:
+    """What an autoscaling policy wants the cluster to do at one tick."""
 
-    The simulation models executor threads as an abstract capacity pool; this
-    policy watches utilization and arrival/completion rates and decides when
-    to add VMs (after the EC2 startup delay) and when to drain capacity.
+    add_threads: int = 0
+    remove_threads: int = 0
+    add_delay_ms: float = 0.0
+    note: str = ""
+    #: Scale-downs marked urgent (load disappeared entirely) skip the compute
+    #: control plane's grace period; ordinary low-utilization scale-downs must
+    #: repeat for a few consecutive ticks before they actuate.
+    urgent: bool = False
+
+
+#: Signature of an autoscaling policy: (now_ms, metrics) -> decision or None.
+PolicyFn = Callable[[float, Dict[str, float]], Optional[AutoscalerDecision]]
+
+
+class AutoscalingPolicy:
+    """The §4.4 policy as a :data:`PolicyFn` (Figure 7).
+
+    The compute control plane calls it every policy tick with the aggregated
+    executor metrics; it watches utilization and arrival/completion rates
+    and decides when to add VMs (after the EC2 startup delay) and when to
+    drain capacity.
     """
 
     def __init__(self, config: Optional[MonitoringConfig] = None):

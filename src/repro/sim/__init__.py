@@ -30,14 +30,6 @@ from .stats import (
     median,
     percentile,
 )
-from .timeline import (
-    AutoscalerDecision,
-    CapacityChange,
-    ClientGroup,
-    ClosedLoopSimulation,
-    SimulationResult,
-    run_fixed_capacity,
-)
 
 __all__ = [
     "ChargeRecord",
@@ -68,10 +60,4 @@ __all__ = [
     "mean",
     "median",
     "percentile",
-    "AutoscalerDecision",
-    "CapacityChange",
-    "ClientGroup",
-    "ClosedLoopSimulation",
-    "SimulationResult",
-    "run_fixed_capacity",
 ]

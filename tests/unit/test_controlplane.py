@@ -18,9 +18,9 @@ from repro.cloudburst.controlplane import (
 from repro.cloudburst.executor import EXECUTOR_METRICS_PREFIX
 from repro.cloudburst.monitoring import (
     SCHEDULER_METRICS_PREFIX,
+    AutoscalerDecision,
     MonitoringConfig,
 )
-from repro.sim import AutoscalerDecision
 
 
 def make_cluster(executor_vms=3, threads_per_vm=2, seed=3):
