@@ -7,10 +7,12 @@ the paper's Table 1 API over whichever backend the cluster runs on:
 * ``register``/``register_dag``/``delete_dag`` manage functions and
   compositions on **every** scheduler the client knows about.
 * ``call``/``call_dag`` invoke them and always return a
-  :class:`~repro.cloudburst.references.CloudburstFuture`.  On the sequential
-  backend the invocation runs inline and the future arrives already
-  resolved; on an engine-attached cluster ``call_dag`` enqueues the DAG as
-  discrete engine events and returns *before* it executes — resolution is
+  :class:`~repro.cloudburst.references.CloudburstFuture`.  Every invocation
+  runs as the scheduler's journaled DAG session (a single call is a
+  one-node DAG).  Without an engine, and for every single call, the session
+  drains on a private engine inside the call and the future arrives already
+  resolved; on an engine-attached cluster ``call_dag`` enqueues the session
+  on the shared engine and returns *before* it executes — resolution is
   delivered through ``future.add_done_callback`` or by ``future.get()``,
   which advances virtual time until the result appears (with an optional
   timeout).  Either way the future's payload is the same

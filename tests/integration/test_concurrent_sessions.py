@@ -287,6 +287,28 @@ class TestSessionFailureIsolation:
             scheduler.call("read_then_die")
         self._assert_no_leaked_session_state(cluster)
 
+    def test_user_error_in_inline_request_closes_its_session(self):
+        # A function that raises its own error is not a §4.5 fault: the
+        # error reaches the caller unretried, and the session it aborts
+        # releases its snapshot and shadow read and leaves the journal.
+        cluster = self._reading_flaky_cluster()
+        cloud = cluster.connect()
+
+        def read_then_raise(cloudburst):
+            cloudburst.get("shared-key")
+            raise ValueError("user error")
+
+        cloud.register(read_then_raise, name="read_then_raise")
+        cloud.register_dag("read-raise-dag", ["read_then_raise"])
+        with pytest.raises(ValueError):
+            cloud.call("read_then_raise")
+        with pytest.raises(ValueError):
+            cloud.call_dag("read-raise-dag")
+        self._assert_no_leaked_session_state(cluster)
+        journal = cluster.schedulers[0].journal
+        assert journal.in_flight_count() == 0
+        assert journal.counts()["failed"] == 2
+
 class TestTable2Determinism:
     def test_same_seed_same_anomaly_counts(self):
         kwargs = dict(executions=200, dag_count=20, populated_keys=150,
