@@ -34,10 +34,6 @@ def _increment(x):
     return x + 1
 
 
-def _square(x):
-    return x * x
-
-
 def _composition_cluster(flaky_every=0):
     """Fig 1's deployment; ``flaky_every`` > 0 fails every n-th ``square``."""
     cluster = CloudburstCluster(executor_vms=3, threads_per_vm=2, seed=3)
