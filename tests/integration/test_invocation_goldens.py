@@ -11,7 +11,14 @@ last bit changes the hash).  The constants pin the timelines of:
 * a §4.5 retry on each of those (an executor failure mid-invocation);
 * engine-backed ``call`` and ``call_dag`` under ``EngineLoadDriver``.
 
-Refactors of the invocation machinery must leave every hash unchanged.
+The figure goldens below them hash every figure driver's seeded output at a
+small budget: Fig 1; Figures 5 and 6 at one client and at their default
+client count; Fig 7's latencies and capacity timeline; Fig 8's per-level
+latency lists; Figs 9-12; the one-client §6.2 runs under LWW, DSRR and DSC;
+and Table 2's anomaly row.
+
+Refactors of the invocation machinery or of a figure driver must leave every
+hash unchanged.
 """
 
 import hashlib
@@ -20,7 +27,22 @@ import pytest
 
 from repro import CloudburstCluster
 from repro.apps.prediction import deploy_on_cloudburst, make_image
+from repro.bench import (
+    run_figure1,
+    run_figure5,
+    run_figure6,
+    run_figure7,
+    run_figure8,
+    run_figure9,
+    run_figure10,
+    run_figure11,
+    run_figure12,
+    run_table2,
+)
+from repro.bench.consistency_bench import _run_level
 from repro.bench.harness import run_engine_closed_loop
+from repro.cloudburst import ConsistencyLevel
+from repro.cloudburst.monitoring import MonitoringConfig
 from repro.errors import ExecutorFailedError
 from repro.sim import ComputeModel, Engine, LatencyModel, RequestContext
 
@@ -151,8 +173,6 @@ def test_seeded_timeline_matches_golden(scenario):
     assert _digest(latencies) == expected_digest
 
 
-
-
 def _diamond_order(on_engine):
     """Stage order of ``a→b→c→f, a→d→e→f`` with jitter off (ties by issue order)."""
     cluster = CloudburstCluster(
@@ -187,3 +207,152 @@ def test_inline_dag_runs_functions_in_ready_time_order():
     before either branch's third stage, inline exactly as on an engine."""
     assert _diamond_order(on_engine=False) == ["a", "b", "d", "c", "e", "f"]
     assert _diamond_order(on_engine=True) == ["a", "b", "d", "c", "e", "f"]
+
+
+# --------------------------------------------------------------------------------------
+# Figure drivers
+# --------------------------------------------------------------------------------------
+def _series_digest(series):
+    """Hash ``(label, values)`` pairs in order, each value by ``repr(float)``."""
+    text = ";".join(f"{label}=" + ",".join(repr(float(value)) for value in values)
+                    for label, values in series)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _recorders(comparison):
+    return [(label, recorder.samples_ms)
+            for label, recorder in comparison.recorders.items()]
+
+
+def _scaling_points(scaling):
+    return [(f"{point.threads}t/{point.clients}c",
+             [point.throughput_per_s, point.median_ms, point.p95_ms, point.p99_ms])
+            for point in scaling.points]
+
+
+def figure1():
+    return _recorders(run_figure1(requests=20, seed=1))
+
+
+def figure5(**kwargs):
+    sweep = run_figure5(requests_per_size=6, sizes=("800KB",), seed=2, **kwargs)
+    return [(f"{size}/{label}", values)
+            for size, point in sweep.points.items()
+            for label, values in _recorders(point)]
+
+
+def figure6(**kwargs):
+    return _recorders(run_figure6(repetitions=6, seed=2, **kwargs))
+
+
+def figure7():
+    experiment = run_figure7(
+        initial_threads=6, client_count=12,
+        load_duration_s=10.0, total_duration_s=15.0,
+        policy_interval_ms=2_500.0,
+        monitoring_config=MonitoringConfig(
+            vms_per_scale_up=1, node_startup_delay_ms=5_000.0, max_vms=6),
+        seed=1)
+    timeline = experiment.simulation.capacity_timeline
+    return [("latencies", experiment.simulation.latencies.samples_ms),
+            ("capacity_at_ms", [at_ms for at_ms, _threads in timeline]),
+            ("capacity_threads", [threads for _at_ms, threads in timeline])]
+
+
+def figure8():
+    result = run_figure8(requests_per_level=30, dag_count=8, populated_keys=100,
+                         executor_vms=3, seed=4)
+    return _recorders(result.comparison)
+
+
+def figure9():
+    return _recorders(run_figure9(requests=8, seed=1, image_side=64))
+
+
+def figure10():
+    return _scaling_points(run_figure10(thread_counts=(6, 12), requests_per_point=60,
+                                        seed=1, image_side=32))
+
+
+def figure11():
+    experiment = run_figure11(requests=60, user_count=60, seed_tweets=200,
+                              executor_vms=3, flush_every=20, seed=1)
+    return _recorders(experiment.comparison) + [
+        ("anomaly_rates",
+         [experiment.anomaly_rate_lww, experiment.anomaly_rate_causal])]
+
+
+def figure12():
+    return _scaling_points(run_figure12(thread_counts=(6, 12), requests_per_point=100,
+                                        seed=1, user_count=60, seed_tweets=200))
+
+
+def single_client_level(level):
+    """One §6.2 client with immediate propagation: no interleaving, no staleness."""
+    outcome = _run_level(level, dag_count=8, requests=40, populated_keys=100,
+                         executor_vms=3, seed=4, clients=1,
+                         propagation_interval_ms=0.0)
+    return [(level.short_name, outcome["recorder"].samples_ms)]
+
+
+#: scenario -> (runner returning ``(label, values)`` pairs, sha256 of them).
+FIGURE_GOLDENS = {
+    "figure1": (
+        figure1,
+        "ca8ab1935cc97bfdf753653b1248e6ff62dececf61792e275210fc3af1c1bba0"),
+    "figure5_one_client": (
+        lambda: figure5(clients=1),
+        "854d95192a58a0debad2bf99883611a4c91dde1ecffae207fad105b028c89277"),
+    "figure5": (
+        figure5,
+        "8d55b88cc75695596ca9f735a53c9edb3155cbdfaada8852f97405475eb73a58"),
+    "figure6_one_client": (
+        lambda: figure6(clients=1),
+        "ad13919256f457dfd178e352aa88951addaad99363a627680e41d7387ec6d9b5"),
+    "figure6": (
+        figure6,
+        "8c149c49f36d492c46d3312ff476cc16095848881448015d764e351ad5615b36"),
+    "figure7": (
+        figure7,
+        "a59fc52f1ffc5fa85dfd36e55643d46ae5f3b602429f3d6a89616a8ec0c24bd8"),
+    "figure8": (
+        figure8,
+        "86c8ea6f801a2376d12d7da270c546104db7d07f288cde187f2e4cde17a08fe9"),
+    "figure9": (
+        figure9,
+        "1bd384854fa927671dd7d3e1be3df58a0c2031c427023c06bcd0d61ceb8abb82"),
+    "figure10": (
+        figure10,
+        "5d08b8471a961499e66041638d05e86d28a21c558cb80f6b16c5d8f788c84955"),
+    "figure11": (
+        figure11,
+        "59b49f6f19dd8ad8e7d8765f6b981008f9815acf421d76918d8e7d37820be50c"),
+    "figure12": (
+        figure12,
+        "35fe663dc6163d0a2796a07a7d249b427d8f6f0664b939b858672575364c5ad1"),
+    "level_lww_one_client": (
+        lambda: single_client_level(ConsistencyLevel.LWW),
+        "922387dc70dfbe0a4621e0b6512a0c8ff6f9e57adc24a0170e1f769e7338e73e"),
+    "level_dsrr_one_client": (
+        lambda: single_client_level(
+            ConsistencyLevel.DISTRIBUTED_SESSION_RR),
+        "51da76dc7545f086e43a9dad7a0f7368c07d6e02c4d49b4b95112d96b2c126ab"),
+    "level_dsc_one_client": (
+        lambda: single_client_level(
+            ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL),
+        "9b9203a1ea4a975d0e5b1ba9226421c59a7e1771179a285ed3454a0c3a7a723b"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FIGURE_GOLDENS))
+def test_figure_matches_golden(scenario):
+    runner, expected_digest = FIGURE_GOLDENS[scenario]
+    assert _series_digest(runner()) == expected_digest
+
+
+def test_table2_anomaly_row_matches_golden():
+    report = run_table2(executions=200, dag_count=20, populated_keys=150,
+                        executor_vms=3, seed=11)
+    assert report.executions == 200
+    assert report.as_row() == {"LWW": 0, "SK": 156, "MK": 157, "DSC": 158,
+                               "DSRR": 8}
