@@ -83,7 +83,6 @@ def snapshot_figure5(seed: int, requests_per_size: int,
     sweep = run_figure5(requests_per_size=requests_per_size, sizes=sizes,
                         seed=seed)
     return {
-        "driver": "engine",
         "sizes": {
             label: {system: _summary(recorder)
                     for system, recorder in point.recorders.items()}
@@ -97,7 +96,6 @@ def snapshot_figure6(seed: int, repetitions: int) -> dict:
     started = time.time()
     result = run_figure6(repetitions=repetitions, seed=seed)
     return {
-        "driver": "engine",
         "systems": {system: _summary(recorder)
                     for system, recorder in result.recorders.items()},
         "wall_seconds": round(time.time() - started, 2),

@@ -5,17 +5,15 @@ test, drives the workload, and returns structured results that the
 ``benchmarks/`` wrappers print and that the integration tests assert on.
 Parameters default to paper-scale values but can be shrunk for fast runs.
 
-The Cloudburst sides of Figures 5 and 6 run **engine-driven** by default:
+The Cloudburst sides of Figures 5 and 6 run on the engine: ``clients``
 concurrent closed-loop clients issue requests through the real stack on one
 shared discrete-event timeline with the Anna storage nodes attached as
 first-class participants — every charged KVS operation waits out the target
 node's bounded work queue, writes land on one replica and reach the rest via
 periodic anti-entropy gossip, so the locality and gossip-vs-gather numbers
-include real storage contention.  ``driver="sequential"`` keeps the old
-synchronous path as a cross-check; a 1-client engine run reproduces its
-latencies sample-for-sample (pinned by the integration tests).  The simulated
-Lambda/Redis/S3/DynamoDB baselines have no storage-node model and always run
-sequentially.
+include real storage contention.  ``clients=1`` is the sequential special
+case.  The simulated Lambda/Redis/S3/DynamoDB baselines have no storage-node
+model and always run sequentially (``run_closed_loop``).
 """
 
 from __future__ import annotations
@@ -163,55 +161,26 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
 DEFAULT_MICRO_CLIENTS = 3
 
 
-def _resolve_micro_driver(driver: str, clients: Optional[int],
-                          default_clients: int = DEFAULT_MICRO_CLIENTS) -> int:
-    """Per-driver defaults; reject knobs the sequential driver would ignore."""
-    if driver == "engine":
-        return default_clients if clients is None else clients
-    if driver == "sequential":
-        if clients is not None:
-            raise ValueError("clients only applies to driver='engine'; the "
-                             "sequential cross-check is one synchronous client")
-        return 1
-    raise ValueError(f"unknown microbenchmark driver {driver!r}")
-
-
 def _run_cloudburst_loop(cluster, label: str, request_fn, requests: int,
-                         driver: str, clients: int):
-    """Drive ``request_fn(cloud, ctx)`` through the chosen driver.
+                         clients: int):
+    """Drive ``request_fn(cloud, ctx)`` from ``clients`` closed-loop clients.
 
     ``request_fn`` issues its work through the public client API (or any
     synchronous workload driving ``ctx`` directly) and returns the
-    invocation's future, or None for synchronous work.
-
-    ``driver="engine"``: ``clients`` concurrent closed-loop clients on the
-    shared engine timeline (storage nodes attached, so KVS operations queue).
-    ``driver="sequential"``: the synchronous cross-check — one request at a
-    time on fresh zero-based clocks, storage charged service time but no
-    queueing.  A 1-client engine run reproduces it sample-for-sample.
+    invocation's future, or None for synchronous work.  The clients share
+    one engine timeline with the storage nodes attached, so KVS operations
+    queue.
     """
-    if driver == "engine":
-        load = EngineLoadDriver(cluster, lambda cloud, ctx, _index: request_fn(cloud, ctx),
-                                clients=clients, max_requests=requests, label=label)
-        return load.run().latencies
-
-    sequential_client = cluster.connect(f"{label}-sequential")
-
-    def sequential_request(_index: int) -> float:
-        ctx = RequestContext()
-        request_fn(sequential_client, ctx)
-        return ctx.clock.now_ms
-
-    return run_closed_loop(label, sequential_request, requests)
+    load = EngineLoadDriver(cluster, lambda cloud, ctx, _index: request_fn(cloud, ctx),
+                            clients=clients, max_requests=requests, label=label)
+    return load.run().latencies
 
 
 def run_figure5(requests_per_size: int = 100,
                 sizes: Sequence[str] = FIGURE5_TOTAL_SIZES,
                 seed: int = 0,
-                driver: str = "engine",
-                clients: Optional[int] = None) -> SweepResult:
+                clients: int = DEFAULT_MICRO_CLIENTS) -> SweepResult:
     """Cloudburst hot/cold caches vs Lambda over ElastiCache (Redis) and S3."""
-    clients = _resolve_micro_driver(driver, clients)
     sweep = SweepResult(title="Figure 5: data locality (sum of 10 arrays)")
     rng = RandomSource(seed)
     for label in sizes:
@@ -219,12 +188,12 @@ def run_figure5(requests_per_size: int = 100,
         requests = requests_per_size if ELEMENTS_PER_ARRAY[label] <= 100_000 \
             else max(10, requests_per_size // 5)
         sweep.add(label, _figure5_one_size(label, requests, rng.spawn(label),
-                                           driver, clients))
+                                           clients))
     return sweep
 
 
 def _figure5_one_size(label: str, requests: int, rng: RandomSource,
-                      driver: str, clients: int) -> ComparisonResult:
+                      clients: int) -> ComparisonResult:
     result = ComparisonResult(title=f"Figure 5 @ total input {label}")
     arrays = make_arrays(label, seed=rng.randint(0, 1 << 16))
     keys = LocalityWorkloadKeys.shared(label)
@@ -250,9 +219,9 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
     # One warm-up request so "hot" measures steady-state cache hits.
     cloud.call("sum_arrays", references)
     result.add(_run_cloudburst_loop(cluster, "Cloudburst (Hot)", hot_request,
-                                    requests, driver, clients))
+                                    requests, clients))
     result.add(_run_cloudburst_loop(cluster, "Cloudburst (Cold)", cold_request,
-                                    requests, driver, clients))
+                                    requests, clients))
 
     # -- Lambda over Redis and S3 ------------------------------------------------------------
     model = LatencyModel(rng.spawn("lambda-model"))
@@ -289,16 +258,14 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
 # --------------------------------------------------------------------------------------
 def run_figure6(repetitions: int = 100, actor_count: int = 10,
                 seed: int = 0,
-                driver: str = "engine",
-                clients: Optional[int] = None) -> ComparisonResult:
+                clients: int = DEFAULT_MICRO_CLIENTS) -> ComparisonResult:
     """Gossip on Cloudburst vs centralized gather on Cloudburst/Redis/Dynamo/S3.
 
-    The two Cloudburst-backed algorithms run through the chosen driver (the
-    engine default puts concurrent aggregations on one timeline, with the
-    gather leader's storage reads queueing at real Anna nodes); the Lambda
-    gathers are simulated baselines and always run sequentially.
+    The two Cloudburst-backed algorithms run ``clients`` concurrent
+    aggregations on one engine timeline, with the gather leader's storage
+    reads queueing at real Anna nodes; the Lambda gathers are simulated
+    baselines and always run sequentially.
     """
-    clients = _resolve_micro_driver(driver, clients)
     result = ComparisonResult(
         title="Figure 6: distributed aggregation latency (10 actors)")
     rng = RandomSource(seed)
@@ -328,9 +295,9 @@ def run_figure6(repetitions: int = 100, actor_count: int = 10,
         cloudburst_gather.run(ctx=ctx)
 
     result.add(_run_cloudburst_loop(cluster, "Cloudburst (gossip)",
-                                    gossip_request, repetitions, driver, clients))
+                                    gossip_request, repetitions, clients))
     result.add(_run_cloudburst_loop(cluster, "Cloudburst (gather)",
-                                    gather_request, repetitions, driver, clients))
+                                    gather_request, repetitions, clients))
     for label, gather in lambda_gathers.items():
         result.add(run_closed_loop(label, lambda i, g=gather: g.run().latency_ms,
                                    repetitions))

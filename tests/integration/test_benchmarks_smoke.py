@@ -127,15 +127,6 @@ class TestConsistencyExperiments:
         assert report.invariant_violations() == []
         assert report.executions == 400
 
-    def test_table2_sequential_cross_check_agrees_qualitatively(self):
-        # The old single-client path (staleness from a per-request flush
-        # counter) is kept as a cross-check: weaker contention, but the same
-        # qualitative ordering must hold.
-        report = run_table2(executions=400, dag_count=25, populated_keys=200,
-                            executor_vms=3, driver="sequential", flush_every=8,
-                            seed=1)
-        assert report.invariant_violations() == []
-
 
 class TestCaseStudies:
     def test_figure9_orderings(self):

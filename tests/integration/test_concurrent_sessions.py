@@ -4,8 +4,6 @@ These pin the acceptance properties of the futures-first engine path
 (``cloud.call_dag`` returning a pending :class:`CloudburstFuture` whose DAG
 runs as engine events):
 
-* a single session client reproduces the sequential ``call_dag`` accounting
-  exactly (the cross-check path);
 * concurrent sessions genuinely interleave on shared caches — the LWW
   control observes repeatable-read mismatches that the RR protocol prevents;
 * sessions never observe each other's pinned snapshots, and every session's
@@ -18,7 +16,6 @@ runs as engine events):
 import pytest
 
 from repro.anna import AnnaCluster
-from repro.bench.consistency_bench import _run_level_engine, _run_level_sequential
 from repro.bench.harness import EngineLoadDriver
 from repro.bench import run_table2
 from repro.cloudburst import CloudburstCluster, ConsistencyLevel
@@ -69,26 +66,6 @@ def _drive_sessions(cluster, level, sessions=60, clients=6):
                               max_requests=sessions)
     driver.run()
     return outcomes, concurrency
-
-
-class TestSingleClientCrossCheck:
-    @pytest.mark.parametrize("level", [
-        ConsistencyLevel.LWW,
-        ConsistencyLevel.DISTRIBUTED_SESSION_RR,
-        ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL,
-    ])
-    def test_engine_single_client_matches_sequential(self, level):
-        # With one client and immediate propagation there is no interleaving
-        # and no staleness, so the engine-driven path must reproduce the
-        # sequential call_dag latencies sample for sample.
-        sequential = _run_level_sequential(
-            level, dag_count=8, requests=40, populated_keys=100,
-            executor_vms=3, seed=4, propagation_flush_every=0)
-        engine = _run_level_engine(
-            level, dag_count=8, requests=40, populated_keys=100,
-            executor_vms=3, seed=4, clients=1, propagation_interval_ms=0.0)
-        assert engine["recorder"].samples_ms == \
-            pytest.approx(sequential["recorder"].samples_ms)
 
 
 class TestInterleavedSessions:
@@ -322,15 +299,6 @@ class TestTable2Determinism:
         report = run_table2(executions=300, dag_count=25, populated_keys=200,
                             executor_vms=3, seed=2)
         assert report.invariant_violations() == []
-
-    def test_inapplicable_driver_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            run_table2(executions=10, driver="engine", flush_every=5)
-        with pytest.raises(ValueError):
-            run_table2(executions=10, driver="sequential", clients=4)
-        with pytest.raises(ValueError):
-            run_table2(executions=10, driver="sequential",
-                       propagation_interval_ms=25.0)
 
 
 class TestScaleDownClosesCaches:

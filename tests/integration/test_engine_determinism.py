@@ -7,15 +7,12 @@ same latency samples, same event counts.  These tests pin that:
 
 * a seeded engine-driver run replays identically (event-for-event and
   sample-for-sample) across two fresh clusters;
-* the Figure 5 engine path with one client still reproduces the sequential
-  cross-check sample-for-sample;
 * ``record_charges=False`` (the load drivers' allocation-light mode) changes
   no latency sample and no engine event count — only the itemised charge log.
 """
 
 import pytest
 
-from repro.bench import run_figure5
 from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster
 
@@ -62,23 +59,6 @@ class TestSeededReplay:
         second, _ = _drive(seed=12)
         assert first.latencies.samples_ms  # non-empty
         assert first.latencies.samples_ms != second.latencies.samples_ms
-
-
-class TestFigure5Parity:
-    def test_engine_single_client_matches_sequential(self):
-        # One engine client and no concurrency: the engine-driven Figure 5
-        # must reproduce the sequential cross-check sample for sample, for
-        # every system in the comparison.
-        sequential = run_figure5(requests_per_size=6, sizes=("8MB",), seed=3,
-                                 driver="sequential")
-        engine = run_figure5(requests_per_size=6, sizes=("8MB",), seed=3,
-                             driver="engine", clients=1)
-        seq_point = sequential.points["8MB"]
-        eng_point = engine.points["8MB"]
-        assert set(seq_point.recorders) == set(eng_point.recorders)
-        for system, recorder in seq_point.recorders.items():
-            assert eng_point.recorders[system].samples_ms == \
-                pytest.approx(recorder.samples_ms), system
 
 
 class TestChargeLogOptOutParity:

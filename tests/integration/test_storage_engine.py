@@ -1,27 +1,15 @@
 """Integration tests for the engine-driven storage tier (Figures 5, 6, 7).
 
-The acceptance bar for putting Anna on the discrete-event engine: the
-Figure 5/6 harnesses run through engine-attached storage nodes by default,
-and a 1-client engine run reproduces the ``driver="sequential"`` synchronous
-path sample-for-sample (same pin the consistency experiments carry in
-``test_concurrent_sessions.py``).
+The Figure 5/6 harnesses run through engine-attached storage nodes; their
+seeded timelines, at one client and at the default client count, are pinned
+in ``test_invocation_goldens.py``.
 """
-
-import pytest
 
 from repro.bench import run_figure5, run_figure6, run_figure7
 from repro.cloudburst.monitoring import MonitoringConfig
 
 
 class TestFigure5EngineDriver:
-    def test_one_client_engine_matches_sequential_sample_for_sample(self):
-        kwargs = dict(requests_per_size=6, sizes=("800KB",), seed=2)
-        sequential = run_figure5(driver="sequential", **kwargs)
-        engine = run_figure5(driver="engine", clients=1, **kwargs)
-        for label in ("Cloudburst (Hot)", "Cloudburst (Cold)"):
-            assert engine.points["800KB"].recorders[label].samples_ms == \
-                pytest.approx(sequential.points["800KB"].recorders[label].samples_ms)
-
     def test_engine_driver_is_deterministic(self):
         kwargs = dict(requests_per_size=6, sizes=("800KB",), seed=3, clients=3)
         first = run_figure5(**kwargs)
@@ -36,31 +24,19 @@ class TestFigure5EngineDriver:
         assert at_8mb.median("Cloudburst (Hot)") < at_8mb.median("Cloudburst (Cold)")
         assert at_8mb.median("Cloudburst (Cold)") < at_8mb.median("Lambda (Redis)")
 
-    def test_rejects_clients_knob_on_sequential_driver(self):
-        with pytest.raises(ValueError):
-            run_figure5(requests_per_size=2, sizes=("80KB",), driver="sequential",
-                        clients=4)
-        with pytest.raises(ValueError):
-            run_figure5(requests_per_size=2, sizes=("80KB",), driver="bogus")
-
 
 class TestFigure6EngineDriver:
-    def test_one_client_engine_matches_sequential_sample_for_sample(self):
-        sequential = run_figure6(repetitions=6, seed=2, driver="sequential")
-        engine = run_figure6(repetitions=6, seed=2, driver="engine", clients=1)
-        for label in ("Cloudburst (gossip)", "Cloudburst (gather)"):
-            assert engine.recorders[label].samples_ms == \
-                pytest.approx(sequential.recorders[label].samples_ms)
-
     def test_lambda_baselines_identical_across_drivers(self):
-        # The simulated Lambda gathers never touch the engine; the driver
-        # knob must not change their numbers at all.
-        sequential = run_figure6(repetitions=5, seed=4, driver="sequential")
-        engine = run_figure6(repetitions=5, seed=4, driver="engine", clients=2)
+        # The simulated Lambda gathers never touch the engine; Cloudburst-side
+        # concurrency must not change their numbers at all.
+        one_client = run_figure6(repetitions=5, seed=4, clients=1)
+        two_clients = run_figure6(repetitions=5, seed=4, clients=2)
+        assert one_client.recorders["Cloudburst (gather)"].samples_ms != \
+            two_clients.recorders["Cloudburst (gather)"].samples_ms
         for label in ("Lambda+Redis (gather)", "Lambda+Dynamo (gather)",
                       "Lambda+S3 (gather)"):
-            assert engine.recorders[label].samples_ms == \
-                sequential.recorders[label].samples_ms
+            assert two_clients.recorders[label].samples_ms == \
+                one_client.recorders[label].samples_ms
 
 
 class TestFigure7StorageTier:

@@ -23,7 +23,6 @@ def _stats(median_ms: float) -> dict:
 
 def good_figure5() -> dict:
     return {
-        "driver": "engine",
         "sizes": {
             "8MB": {
                 "Cloudburst (Hot)": _stats(2.0),
@@ -44,7 +43,6 @@ def good_figure5() -> dict:
 
 def good_figure6() -> dict:
     return {
-        "driver": "engine",
         "systems": {
             "Cloudburst (gossip)": _stats(220.0),
             "Cloudburst (gather)": _stats(10.0),
