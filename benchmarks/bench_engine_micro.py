@@ -34,9 +34,11 @@ def _rows(section: dict) -> list:
     rows = []
     for name, scenario in section["scenarios"].items():
         count = (scenario.get("events") or scenario.get("charges")
-                 or scenario.get("reservations") or 0.0)
+                 or scenario.get("reservations") or scenario.get("merges")
+                 or scenario.get("checks") or scenario.get("placements") or 0.0)
         rate = (scenario.get("charges_per_sec")
                 or scenario.get("reservations_per_sec")
+                or scenario.get("per_sec")
                 or (count / scenario["wall_seconds"]
                     if scenario["wall_seconds"] else 0.0))
         rows.append([name, f"{int(count):,}", f"{scenario['wall_seconds']:.3f}",

@@ -512,7 +512,7 @@ def main(argv=None) -> int:
           f"{observability['tiers']} -> {observability['chrome_trace']}")
 
     payload = {
-        "schema": 9,
+        "schema": 10,
         "seed": args.seed,
         "scale": scale_label,
         "observability": observability,

@@ -17,7 +17,9 @@ scheme as the key space itself; this module tracks the per-key overhead that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set
+
+_NO_HOLDERS: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -84,6 +86,16 @@ class KeyCacheIndex:
     # -- lookups -------------------------------------------------------------------
     def caches_for(self, key: str) -> FrozenSet[str]:
         return frozenset(self._key_to_caches.get(key, frozenset()))
+
+    def holders(self, key: str) -> AbstractSet[str]:
+        """The caches holding ``key``, without copying: read it, never keep it.
+
+        The returned set is the index's live state (it changes on the next
+        snapshot or entry update).  Callers that iterate it once — locality
+        scoring walks every referenced key's holders per placement — skip
+        the frozenset copy :meth:`caches_for` makes.
+        """
+        return self._key_to_caches.get(key, _NO_HOLDERS)
 
     def keys_for(self, cache_id: str) -> FrozenSet[str]:
         return frozenset(self._cache_to_keys.get(cache_id, frozenset()))

@@ -31,6 +31,21 @@ dependence in the simulated workload itself):
   overlap win (sequential sum vs batched clock) that the fig12 fix rests
   on.  Gated on both: keys/sec (wall) and the overlap ratio (virtual).
 
+Three more scenarios time the layers a traced Retwis run shows hot, each
+gated on a wall rate:
+
+* ``causal_merge`` — :meth:`CausalLattice.merge` with growing post-list
+  payloads: each round merges a writer's new version into the cache copy,
+  then merges Anna's pushes of that same version into eight caches holding
+  it, sizing every result.  Merges/sec.
+* ``causal_cut`` — the batched causal-cut check
+  (``ExecutorCache._ensure_causal_cut_batch``) over a cache whose
+  dependencies are all present: half recorded at the held version, half at
+  an older one, on 160-entry clocks.  Dependency checks/sec.
+* ``locality_scoring`` — :meth:`LocalityPlacementPolicy.pick_by_locality`
+  over 160 executor threads with 8 references per placement.
+  Placements/sec.
+
 The headline ``events_per_sec`` aggregates the three engine-loop scenarios
 (total events fired / total wall seconds); the per-primitive scenarios are
 reported alongside.  ``PRE_PR_BASELINE`` pins the numbers measured on the
@@ -78,6 +93,18 @@ FLOOR_EVENTS_PER_SEC: float = 100_000.0
 #: batching never becomes the harness bottleneck it was built to remove.
 MULTI_GET_MIN_OVERLAP_RATIO: float = 8.0
 MULTI_GET_FLOOR_KEYS_PER_SEC: float = 5_000.0
+
+#: Wall-rate floors for the causal-metadata and placement hot paths.  Each
+#: sits well below the rate measured on the machine that recorded
+#: ``BENCH_throughput.json`` and above what the same scenario ran at before
+#: merges, cut checks and locality scoring cost in proportion to what
+#: changed (see DESIGN.md DR-10), so losing that win fails the gate.
+#: On a 2-core x86-64 VM: causal_merge ran at 8-12k merges/s before and
+#: 67-71k after, causal_cut at 123-155k checks/s before and 0.86-0.92M
+#: after, locality_scoring at 1.8-2.2k placements/s before and 16-21k after.
+CAUSAL_MERGE_FLOOR_PER_SEC: float = 25_000.0
+CAUSAL_CUT_FLOOR_CHECKS_PER_SEC: float = 350_000.0
+LOCALITY_FLOOR_PLACEMENTS_PER_SEC: float = 6_000.0
 
 #: Gate for the tracing instrumentation's disabled-path cost: the
 #: span-guarded dispatch loop (tracer at sample_rate 0, so every guard is
@@ -251,6 +278,118 @@ def bench_multi_get(rounds: int = 30,
     return payload
 
 
+def bench_causal_merge(rounds: int = 2_000, authors: int = 8, writers: int = 16,
+                       pushes: int = 8) -> Dict[str, float]:
+    """Causal merges with growing post-list payloads (the Retwis write path).
+
+    Each round appends one post to an author's list.  The writer's new
+    version (its clock incremented, depending on the previous author's
+    list) merges into the cache copy; then Anna pushes that same version to
+    ``pushes`` caches holding the merged copy (a traced Retwis phase pushes
+    each write to about 25 caches), and every result is sized as a KVS
+    write charges it.  Lists grow to ``rounds / authors`` posts, so a
+    merge that re-measured or re-sorted its payload would cost O(list
+    length) per push.
+    """
+    from ..lattices import CausalLattice, VectorClock
+
+    keys = [f"posts:{author}" for author in range(authors)]
+    held = {key: CausalLattice(VectorClock({"w0": 1}), []) for key in keys}
+    checksum = 0
+    for index in range(rounds):
+        key = keys[index % authors]
+        previous = keys[(index - 1) % authors]
+        current = held[key]
+        posts = list(current.reveal())
+        posts.append(f"t{index}")
+        version = CausalLattice(
+            current.vector_clock.increment(f"w{index % writers}"), posts,
+            dependencies={previous: held[previous].vector_clock})
+        merged = current.merge(version)
+        checksum += merged.size_bytes()
+        for _ in range(pushes):
+            pushed = merged.merge(version)
+            checksum += pushed.size_bytes()
+        held[key] = pushed
+    return {"merges": float(rounds * (1 + pushes)), "checksum": float(checksum)}
+
+
+def bench_causal_cut(keys: int = 200, deps_per_key: int = 8, rounds: int = 150,
+                     clock_width: int = 160) -> Dict[str, float]:
+    """The batched causal-cut check over a cache that already holds a cut.
+
+    Every key's clock has ``clock_width`` entries (one per executor thread
+    of the fig12 top point).  Each key depends on ``deps_per_key`` others:
+    half recorded at the version the cache holds (the same clock object, as
+    when the dependency was read through this cache), half at an older
+    version the held one dominates.  No dependency needs a fetch, so the
+    scenario times the check alone.
+    """
+    from ..anna import AnnaCluster
+    from ..cloudburst import ExecutorCache
+    from ..lattices import CausalLattice, VectorClock
+    from ..sim import LatencyModel
+
+    anna = AnnaCluster(node_count=4, replication_factor=2,
+                       latency_model=LatencyModel(jitter_enabled=False))
+    cache = ExecutorCache("bench-cut", anna, peer_registry={})
+    names = [f"k{index}" for index in range(keys)]
+    older = [VectorClock({f"e{node}": 1 + (node + index) % 5
+                          for node in range(clock_width)})
+             for index in range(keys)]
+    newer = [clock.increment(f"e{index % clock_width}")
+             for index, clock in enumerate(older)]
+    batch = []
+    for index, name in enumerate(names):
+        deps = {}
+        for offset in range(1, deps_per_key + 1):
+            other = (index + offset * 7) % keys
+            deps[names[other]] = newer[other] if offset % 2 else older[other]
+        batch.append(CausalLattice(newer[index], index, dependencies=deps))
+    for name, lattice in zip(names, batch):
+        cache.put(name, lattice)
+    fetches_before = cache.stats.causal_dep_fetches
+    for _ in range(rounds):
+        cache._ensure_causal_cut_batch(batch)
+    return {"checks": float(rounds * keys * deps_per_key),
+            "dependency_fetches": float(cache.stats.causal_dep_fetches
+                                        - fetches_before)}
+
+
+def bench_locality_scoring(placements: int = 3_000, vms: int = 40,
+                           threads_per_vm: int = 4, keys: int = 400,
+                           references: int = 8) -> Dict[str, float]:
+    """Locality placement over 160 threads (the fig12 top point's pool).
+
+    Each key is indexed on three caches; each placement references
+    ``references`` keys, chosen deterministically.  No engine is attached,
+    so every holder is unsaturated and the scan always places.
+    """
+    from ..cloudburst import CloudburstCluster
+    from ..cloudburst.policy import LocalityPlacementPolicy
+    from ..cloudburst.references import CloudburstReference
+
+    cluster = CloudburstCluster(executor_vms=vms, threads_per_vm=threads_per_vm,
+                                seed=0)
+    scheduler = cluster.schedulers[0]
+    index = cluster.kvs.cache_index
+    cache_ids = [vm.cache.cache_id for vm in cluster.vms]
+    names = [f"key{number}" for number in range(keys)]
+    for number, name in enumerate(names):
+        for replica in range(3):
+            index.add_entry(cache_ids[(number * 7 + replica * 13) % vms], name)
+    threads = scheduler._live_threads()
+    policy = LocalityPlacementPolicy()
+    chosen = 0
+    for placement in range(placements):
+        refs = [CloudburstReference(names[(placement * 31 + slot * 17) % keys])
+                for slot in range(references)]
+        if policy.pick_by_locality(scheduler, threads, refs, None) is not None:
+            chosen += 1
+    return {"placements": float(placements), "threads": float(len(threads)),
+            "placed": float(chosen)}
+
+
 def bench_tracing_overhead(requests: int = 8_000, sites_per_request: int = 12,
                            repeats: int = 3) -> Dict[str, float]:
     """Dispatch throughput with tracing instrumentation present but disabled.
@@ -324,6 +463,9 @@ def run_engine_micro() -> Dict[str, object]:
         "reservation_queue": _timed(bench_reservation_queue),
         "multi_get": _timed(bench_multi_get),
         "tracing_overhead": _timed(bench_tracing_overhead),
+        "causal_merge": _timed(bench_causal_merge),
+        "causal_cut": _timed(bench_causal_cut),
+        "locality_scoring": _timed(bench_locality_scoring),
     }
     engine_scenarios = ("event_dispatch", "cancel_churn", "recurring_ticks")
     engine_events = sum(scenarios[name]["events"] for name in engine_scenarios)
@@ -344,9 +486,14 @@ def run_engine_micro() -> Dict[str, object]:
     multi_get_wall = multi_get["wall_seconds"]
     multi_get_keys_per_sec = round(
         multi_get["events"] / multi_get_wall if multi_get_wall > 0 else 0.0, 1)
+    for name, count in (("causal_merge", "merges"), ("causal_cut", "checks"),
+                        ("locality_scoring", "placements")):
+        wall = scenarios[name]["wall_seconds"]
+        scenarios[name]["per_sec"] = round(
+            scenarios[name][count] / wall if wall > 0 else 0.0, 1)
     baseline = PRE_PR_BASELINE.get("events_per_sec", 0.0)
     return {
-        "schema": 3,
+        "schema": 4,
         "events_per_sec": round(events_per_sec, 1),
         "sim_ms_per_wall_ms": round(sim_ms_per_wall_ms, 1),
         "scenarios": scenarios,
@@ -360,6 +507,12 @@ def run_engine_micro() -> Dict[str, object]:
         "multi_get_min_overlap_ratio": MULTI_GET_MIN_OVERLAP_RATIO,
         "tracing_overhead_pct": scenarios["tracing_overhead"]["overhead_pct"],
         "tracing_overhead_max_pct": TRACING_OVERHEAD_MAX_PCT,
+        "causal_merge_per_sec": scenarios["causal_merge"]["per_sec"],
+        "causal_merge_floor_per_sec": CAUSAL_MERGE_FLOOR_PER_SEC,
+        "causal_cut_checks_per_sec": scenarios["causal_cut"]["per_sec"],
+        "causal_cut_floor_checks_per_sec": CAUSAL_CUT_FLOOR_CHECKS_PER_SEC,
+        "locality_placements_per_sec": scenarios["locality_scoring"]["per_sec"],
+        "locality_floor_placements_per_sec": LOCALITY_FLOOR_PLACEMENTS_PER_SEC,
     }
 
 
@@ -399,6 +552,21 @@ def engine_throughput_errors(section: Dict[str, object]) -> list:
             f"engine_throughput: disabled tracing costs {overhead_pct:.1f}% "
             f"of dispatch throughput (gate: <{max_pct:.0f}%) — the "
             f"zero-cost-when-off contract is broken")
+    # Causal-metadata and placement hot paths (schema 4; older snapshots
+    # carry none of these keys and pass vacuously).
+    for label, rate_key, floor_key, unit in (
+            ("causal_merge", "causal_merge_per_sec",
+             "causal_merge_floor_per_sec", "merges/s"),
+            ("causal_cut", "causal_cut_checks_per_sec",
+             "causal_cut_floor_checks_per_sec", "checks/s"),
+            ("locality_scoring", "locality_placements_per_sec",
+             "locality_floor_placements_per_sec", "placements/s")):
+        rate, hot_floor = section.get(rate_key), section.get(floor_key)
+        if rate is not None and hot_floor is not None and rate < hot_floor:
+            errors.append(
+                f"engine_throughput: {label} at {rate:.0f} {unit} fell below "
+                f"the floor {hot_floor:.0f} — the hot path again costs in "
+                f"proportion to history, not to what changed")
     scenario = (section.get("scenarios") or {}).get("tracing_overhead") or {}
     if scenario.get("spans_created"):
         errors.append(

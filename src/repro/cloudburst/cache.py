@@ -631,9 +631,7 @@ class ExecutorCache:
             visited.add(dep_key)
             local = self._data.get(dep_key)
             if local is not None and isinstance(local, CausalLattice):
-                local_clock = local.vector_clock
-                if local_clock.dominates_or_equal(dep_clock) or \
-                        local_clock.concurrent_with(dep_clock):
+                if local.vector_clock.concurrent_or_newer(dep_clock):
                     continue
             # Local copy is missing or causally stale: fetch from the KVS.
             fetched = self.kvs.get_or_none(dep_key, ctx)
@@ -668,9 +666,7 @@ class ExecutorCache:
                 visited.add(dep_key)
                 local = self._data.get(dep_key)
                 if local is not None and isinstance(local, CausalLattice):
-                    local_clock = local.vector_clock
-                    if local_clock.dominates_or_equal(dep_clock) or \
-                            local_clock.concurrent_with(dep_clock):
+                    if local.vector_clock.concurrent_or_newer(dep_clock):
                         continue
                 needed.append(dep_key)
             worklist = []
@@ -706,9 +702,7 @@ class ExecutorCache:
                 if local is None or not isinstance(local, CausalLattice):
                     violations.append((key, dep_key))
                     continue
-                local_clock = local.vector_clock
-                if not (local_clock.dominates_or_equal(dep_clock)
-                        or local_clock.concurrent_with(dep_clock)):
+                if not local.vector_clock.concurrent_or_newer(dep_clock):
                     violations.append((key, dep_key))
         return violations
 

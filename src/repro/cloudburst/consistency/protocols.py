@@ -135,6 +135,31 @@ class ConsistencyProtocol:
 
     # -- shared helpers ------------------------------------------------------------
     @staticmethod
+    def _track_dependencies(state: SessionState, cache: ExecutorCache, key: str,
+                            value: Lattice) -> None:
+        """Record a causal read's version and fold its dependency set in.
+
+        An entry is rebuilt only when its clock grows or its cache changes:
+        ``VectorClock.merge`` returns the held clock when it already covers
+        the incoming one.
+        """
+        if not isinstance(value, CausalLattice):
+            return
+        cache_id = cache.cache_id
+        state.read_set[key] = ReadSetEntry(key, value.vector_clock, cache_id)
+        dependencies = state.dependencies
+        for dep_key, dep_clock in value.dependencies.items():
+            existing = dependencies.get(dep_key)
+            if existing is None:
+                dependencies[dep_key] = DependencyEntry(dep_key, dep_clock, cache_id)
+                continue
+            held = existing.clock
+            merged_clock = held if held is dep_clock else held.merge(dep_clock)
+            if merged_clock is held and existing.cache_id == cache_id:
+                continue
+            dependencies[dep_key] = DependencyEntry(dep_key, merged_clock, cache_id)
+
+    @staticmethod
     def _record_read(state: SessionState, cache: ExecutorCache, key: str,
                      value: Lattice) -> None:
         state.reads += 1
@@ -290,17 +315,6 @@ class MultiKeyCausalProtocol(ConsistencyProtocol):
         self._record_write(state, cache, key, merged)
         return merged
 
-    @staticmethod
-    def _track_dependencies(state: SessionState, cache: ExecutorCache, key: str,
-                            value: Lattice) -> None:
-        if isinstance(value, CausalLattice):
-            state.read_set[key] = ReadSetEntry(key, value.vector_clock, cache.cache_id)
-            for dep_key, dep_clock in value.dependencies.items():
-                existing = state.dependencies.get(dep_key)
-                merged_clock = dep_clock if existing is None else existing.clock.merge(dep_clock)
-                state.dependencies[dep_key] = DependencyEntry(dep_key, merged_clock,
-                                                              cache.cache_id)
-
 
 class DistributedSessionCausalProtocol(ConsistencyProtocol):
     """Algorithm 2: causal consistency across every cache a DAG touches."""
@@ -414,12 +428,7 @@ class DistributedSessionCausalProtocol(ConsistencyProtocol):
         state.reads += 1
         state.caches_involved.add(cache.cache_id)
         if isinstance(value, CausalLattice):
-            state.read_set[key] = ReadSetEntry(key, value.vector_clock, cache.cache_id)
-            for dep_key, dep_clock in value.dependencies.items():
-                existing = state.dependencies.get(dep_key)
-                merged_clock = dep_clock if existing is None else existing.clock.merge(dep_clock)
-                state.dependencies[dep_key] = DependencyEntry(dep_key, merged_clock,
-                                                              cache.cache_id)
+            ConsistencyProtocol._track_dependencies(state, cache, key, value)
         else:
             state.read_set[key] = ReadSetEntry(
                 key, LatticeEncapsulator.version_of(value), cache.cache_id)
@@ -446,9 +455,7 @@ def _causally_valid(cache_version, required) -> bool:
         return False
     if not isinstance(cache_version, VectorClock) or not isinstance(required, VectorClock):
         return cache_version == required
-    return (cache_version == required
-            or cache_version.dominates(required)
-            or cache_version.concurrent_with(required))
+    return cache_version.concurrent_or_newer(required)
 
 
 class ObservingProtocol(ConsistencyProtocol):

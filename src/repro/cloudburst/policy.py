@@ -27,9 +27,28 @@ schedulers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .references import CloudburstReference, extract_references
+
+
+def _saturation(scheduler, now_ms: Optional[float]) -> Callable[[object], bool]:
+    """``vm -> utilization above the overload threshold``, one read per VM.
+
+    A VM's utilization sums every thread's queue depth, and placement scans
+    test it once per candidate *thread*; the answer cannot change within
+    one pick, so each VM is read once.
+    """
+    threshold = scheduler.overload_threshold
+    seen: Dict[int, bool] = {}
+
+    def saturated(vm) -> bool:
+        over = seen.get(id(vm))
+        if over is None:
+            over = seen[id(vm)] = vm.utilization(now_ms) > threshold
+        return over
+
+    return saturated
 
 
 class PlacementPolicy:
@@ -57,8 +76,9 @@ class PlacementPolicy:
     def unsaturated(self, scheduler, threads: List,
                     now_ms: Optional[float]) -> List:
         """Threads below the overload threshold with work-queue room."""
+        saturated = _saturation(scheduler, now_ms)
         return [t for t in threads
-                if t.vm.utilization(now_ms) <= scheduler.overload_threshold
+                if not saturated(t.vm)
                 and not (now_ms is not None and t.work_queue.is_full(now_ms))]
 
     def least_loaded(self, scheduler, threads: List, restricted: bool,
@@ -112,19 +132,28 @@ class LocalityPlacementPolicy(PlacementPolicy):
     def pick_by_locality(self, scheduler, threads,
                          references: List[CloudburstReference],
                          now_ms: Optional[float]):
-        """The executor whose VM cache holds the most referenced keys."""
+        """The executor whose VM cache holds the most referenced keys.
+
+        Scores come from one walk of references -> holding caches in the
+        key-to-cache index; only threads whose cache holds at least one
+        referenced key are ranked, by ``(-count, thread_id)``.
+        """
         index = scheduler.kvs.cache_index
+        counts: Dict[str, int] = {}
+        for ref in references:
+            for cache_id in index.holders(ref.key):
+                counts[cache_id] = counts.get(cache_id, 0) + 1
+        if not counts:
+            return None
         scores: List[Tuple[int, str, object]] = []
         for thread in threads:
-            cache_id = thread.vm.cache.cache_id
-            cached = sum(1 for ref in references
-                         if cache_id in index.caches_for(ref.key))
-            scores.append((cached, thread.thread_id, thread))
+            cached = counts.get(thread.vm.cache.cache_id)
+            if cached:
+                scores.append((cached, thread.thread_id, thread))
         scores.sort(key=lambda item: (-item[0], item[1]))
-        for cached, _, thread in scores:
-            if cached <= 0:
-                break
-            if thread.vm.utilization(now_ms) > scheduler.overload_threshold:
+        saturated = _saturation(scheduler, now_ms)
+        for _, _, thread in scores:
+            if saturated(thread.vm):
                 continue
             if now_ms is not None and thread.work_queue.busy_at(now_ms):
                 # Queueing behind a busy cache-holder is exactly what the

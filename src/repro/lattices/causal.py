@@ -32,10 +32,30 @@ Sibling = Tuple[VectorClock, Any]
 
 
 class CausalLattice(Lattice):
-    """A causally versioned value (multi-value register plus dependency set)."""
+    """A causally versioned value (multi-value register plus dependency set).
 
-    __slots__ = ("dependencies", "_siblings", "_clock", "_meta_bytes",
-                 "_total_bytes")
+    The lattice is immutable: every mutation-shaped API (``merge``,
+    ``with_dependency``) returns a lattice and nothing may mutate
+    ``dependencies`` in place.  That makes the merge fast paths exact:
+
+    * ``merge`` returns an operand when the other adds nothing to it (same
+      object, or every sibling and dependency clock of the other is already
+      held by identity or covered), and ``with_dependency`` returns ``self``
+      when the clock is already covered.  The result equals what a fresh
+      build would produce; it is merely not a new object.
+    * A dependency whose clock ``is`` the one already held is skipped, and a
+      merged dependency dict is copied only when some clock actually grows.
+    * Derived quantities (the joined vector clock, metadata bytes, payload
+      bytes) are computed at most once per instance.  A merge whose surviving
+      siblings are the *same value objects* (``is``) as one operand's
+      inherits that operand's payload size (and joined clock, when the
+      sibling clocks are the same objects too): an identical object has an
+      identical size, so the growing Retwis post lists are not re-walked.
+      Equal but distinct values are always re-measured.
+    """
+
+    __slots__ = ("dependencies", "_siblings", "_clock", "_deps_bytes",
+                 "_meta_bytes", "_payload_bytes", "_total_bytes")
 
     def __init__(self, vector_clock: Optional[VectorClock] = None, value: Any = None,
                  dependencies: Optional[Mapping[str, VectorClock]] = None,
@@ -47,23 +67,82 @@ class CausalLattice(Lattice):
             candidate = [(vector_clock or VectorClock(), value)]
         self._siblings: Tuple[Sibling, ...] = _prune(candidate)
         # Derived quantities, computed on first use.  Safe to cache: the
-        # lattice is immutable (every mutation-shaped API — merge,
-        # with_dependency — returns a new instance) and nothing may mutate
-        # ``dependencies`` in place.  The causal protocols consult
+        # lattice is immutable.  The causal protocols consult
         # vector_clock/metadata_bytes/size_bytes on every read, which made
         # re-deriving them the single hottest path in a fig12 profile.
         self._clock: Optional[VectorClock] = None
+        self._deps_bytes: Optional[int] = None
         self._meta_bytes: Optional[int] = None
+        self._payload_bytes: Optional[int] = None
         self._total_bytes: Optional[int] = None
+
+    @classmethod
+    def _assemble(cls, dependencies: Dict[str, VectorClock],
+                  siblings: Tuple[Sibling, ...],
+                  source: Optional["CausalLattice"] = None,
+                  deps_bytes: Optional[int] = None) -> "CausalLattice":
+        """Wrap a dependency dict and an already-pruned antichain, uncopied.
+
+        ``source`` is a lattice whose siblings hold the same value objects
+        as ``siblings``; its computed payload size (and joined clock, when
+        the sibling clocks are the same objects too) carries over.
+        ``deps_bytes`` is the dependency set's size when the caller derived
+        it from a known size and the entries that changed.
+        """
+        lattice = object.__new__(cls)
+        lattice.dependencies = dependencies
+        lattice._siblings = siblings
+        lattice._clock = None
+        lattice._deps_bytes = deps_bytes
+        lattice._meta_bytes = None
+        lattice._payload_bytes = None
+        lattice._total_bytes = None
+        if source is not None:
+            lattice._payload_bytes = source._payload_bytes
+            if source._siblings is siblings:
+                lattice._clock = source._clock
+        return lattice
 
     # -- lattice interface ---------------------------------------------------
     def merge(self, other: "CausalLattice") -> "CausalLattice":
+        if other is self:
+            return self
         other = self._check_type(other)
-        merged_deps = dict(self.dependencies)
+        deps = self.dependencies
+        merged_deps = None
+        deps_bytes = self._deps_bytes
         for key, clock in other.dependencies.items():
-            merged_deps[key] = merged_deps[key].merge(clock) if key in merged_deps else clock
-        return CausalLattice(dependencies=merged_deps,
-                             siblings=list(self._siblings) + list(other._siblings))
+            held = deps.get(key)
+            if held is clock:
+                continue
+            joined = clock if held is None else held.merge(clock)
+            if joined is held:
+                continue
+            if merged_deps is None:
+                merged_deps = dict(deps)
+            merged_deps[key] = joined
+            if deps_bytes is not None:
+                deps_bytes += _entry_growth(key, held, joined)
+        mine, theirs = self._siblings, other._siblings
+        if _holds_all(mine, theirs):
+            siblings = mine
+        elif _holds_all(theirs, mine):
+            siblings = theirs
+        else:
+            siblings = _prune(mine + theirs)
+        if merged_deps is None:
+            if siblings is mine:
+                return self
+            if siblings is theirs and _same_dependencies(other.dependencies, deps):
+                return other
+            merged_deps = deps
+        if _same_values(siblings, mine):
+            source = self
+        elif _same_values(siblings, theirs):
+            source = other
+        else:
+            source = None
+        return CausalLattice._assemble(merged_deps, siblings, source, deps_bytes)
 
     def reveal(self) -> Any:
         """Return one version via a deterministic tie break (§5.2)."""
@@ -98,9 +177,16 @@ class CausalLattice(Lattice):
         return len(self._siblings) > 1
 
     def with_dependency(self, key: str, clock: VectorClock) -> "CausalLattice":
+        held = self.dependencies.get(key)
+        joined = clock if held is None else held.merge(clock)
+        if joined is held:
+            return self
         deps = dict(self.dependencies)
-        deps[key] = deps[key].merge(clock) if key in deps else clock
-        return CausalLattice(dependencies=deps, siblings=self._siblings)
+        deps[key] = joined
+        deps_bytes = self._deps_bytes
+        if deps_bytes is not None:
+            deps_bytes += _entry_growth(key, held, joined)
+        return CausalLattice._assemble(deps, self._siblings, self, deps_bytes)
 
     def metadata_bytes(self) -> int:
         """Size of the causal metadata (vector clocks + dependency set).
@@ -110,10 +196,12 @@ class CausalLattice(Lattice):
         """
         meta = self._meta_bytes
         if meta is None:
-            deps_bytes = sum(
-                len(key.encode("utf-8")) + clock.size_bytes()
-                for key, clock in self.dependencies.items()
-            )
+            deps_bytes = self._deps_bytes
+            if deps_bytes is None:
+                deps_bytes = self._deps_bytes = sum(
+                    len(key.encode("utf-8")) + clock.size_bytes()
+                    for key, clock in self.dependencies.items()
+                )
             clock_bytes = sum(clock.size_bytes() for clock, _ in self._siblings)
             meta = self._meta_bytes = clock_bytes + deps_bytes
         return meta
@@ -121,9 +209,15 @@ class CausalLattice(Lattice):
     def size_bytes(self) -> int:
         total = self._total_bytes
         if total is None:
-            total = self._total_bytes = self.metadata_bytes() + sum(
-                estimate_size(v) for _, v in self._siblings)
+            total = self._total_bytes = self.metadata_bytes() + self._payload_size()
         return total
+
+    def _payload_size(self) -> int:
+        payload = self._payload_bytes
+        if payload is None:
+            payload = self._payload_bytes = sum(
+                estimate_size(v) for _, v in self._siblings)
+        return payload
 
     def _identity(self) -> Any:
         return (
@@ -131,6 +225,13 @@ class CausalLattice(Lattice):
             tuple(sorted(((clock, _tie_break_key(value)) for clock, value in self._siblings),
                          key=lambda pair: (pair[0]._identity(), pair[1]))),
         )
+
+
+def _entry_growth(key: str, held: Optional[VectorClock], joined: VectorClock) -> int:
+    """Bytes a dependency set grows by when ``key``'s clock becomes ``joined``."""
+    if held is None:
+        return len(key.encode("utf-8")) + joined.size_bytes()
+    return joined.size_bytes() - held.size_bytes()
 
 
 def _prune(siblings: Iterable[Sibling]) -> Tuple[Sibling, ...]:
@@ -143,7 +244,8 @@ def _prune(siblings: Iterable[Sibling]) -> Tuple[Sibling, ...]:
         return (siblings[0],)
     unique: list = []
     for clock, value in siblings:
-        if not any(c == clock and _values_equal(v, value) for c, v in unique):
+        if not any(c == clock and (v is value or _values_equal(v, value))
+                   for c, v in unique):
             unique.append((clock, value))
     kept = []
     for index, (clock, value) in enumerate(unique):
@@ -163,8 +265,38 @@ def _prune(siblings: Iterable[Sibling]) -> Tuple[Sibling, ...]:
                     break
         if not dominated:
             kept.append((clock, value))
-    kept.sort(key=lambda pair: (pair[0]._identity(), _tie_break_key(pair[1])))
+    if len(kept) > 1:
+        kept.sort(key=lambda pair: (pair[0]._identity(), _tie_break_key(pair[1])))
     return tuple(kept)
+
+
+def _holds_all(held: Tuple[Sibling, ...], incoming: Tuple[Sibling, ...]) -> bool:
+    """Whether every incoming sibling is one of ``held``'s, by identity.
+
+    ``held`` is a pruned antichain, so pruning ``held + incoming`` would
+    drop every incoming duplicate and return ``held`` unchanged.
+    """
+    if incoming is held:
+        return True
+    for clock, value in incoming:
+        for held_clock, held_value in held:
+            if held_clock is clock and held_value is value:
+                break
+        else:
+            return False
+    return True
+
+
+def _same_values(a: Tuple[Sibling, ...], b: Tuple[Sibling, ...]) -> bool:
+    """Whether two sibling tuples carry the same value objects, in order."""
+    return len(a) == len(b) and all(x[1] is y[1] for x, y in zip(a, b))
+
+
+def _same_dependencies(a: Dict[str, VectorClock], b: Dict[str, VectorClock]) -> bool:
+    """Same keys in the same order, each with the very same clock object."""
+    return len(a) == len(b) and all(
+        key_a == key_b and clock_a is clock_b
+        for (key_a, clock_a), (key_b, clock_b) in zip(a.items(), b.items()))
 
 
 def _values_equal(a: Any, b: Any) -> bool:

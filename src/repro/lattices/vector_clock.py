@@ -17,13 +17,24 @@ from .base import Lattice
 class VectorClock(Lattice):
     """An immutable vector clock mapping node ids to logical clock values.
 
-    Causal-mode runs create and merge these at every read and write, which
-    made clock construction/merge the top of the fig12 profile.  Hence the
-    internal fast paths: a trusted constructor for entries that are already
-    validated (merge/increment outputs can only contain positive ints), merge
-    short-circuits on an empty operand (returning an existing clock is safe —
-    clocks are immutable), and the derived quantities (``size_bytes``, the
-    sorted identity tuple) are computed once per instance.
+    Causal-mode runs create, merge and compare these at every read and write,
+    which made clock construction/merge the top of the fig12 profile.  The
+    internal fast paths are exact because a clock never changes after it is
+    built and equality is by entries, not by object:
+
+    * a trusted constructor wraps entries that are already validated
+      (merge/increment outputs can only contain positive ints);
+    * ``merge`` returns an operand whenever that operand covers the other
+      (``a.merge(a)``, a dependency clock merged into itself or into a newer
+      clock).  Returning an existing instance is safe because nothing can
+      mutate it, and the result equals the entrywise maximum.  The entry dict
+      is copied lazily, only when an entry actually grows;
+    * ``dominates`` is one pass over the other clock's entries: entries are
+      positive, so once every entry of ``other`` is matched, ``self`` is
+      strictly greater exactly when it has more entries.  The validity test
+      ``concurrent_or_newer`` is one such pass, or none for the same object;
+    * the derived quantities (``size_bytes``, the sorted identity tuple) are
+      computed once per instance.
     """
 
     __slots__ = ("_entries", "_size", "_ident")
@@ -55,6 +66,8 @@ class VectorClock(Lattice):
 
     # -- lattice interface -------------------------------------------------
     def merge(self, other: "VectorClock") -> "VectorClock":
+        if other is self:
+            return self
         other = self._check_type(other)
         mine = self._entries
         theirs = other._entries
@@ -64,11 +77,24 @@ class VectorClock(Lattice):
             return self
         if not mine:
             return other
-        merged = dict(mine)
-        get = merged.get
+        merged = None
+        # Entries of ``mine`` that ``theirs`` matches or exceeds: when that is
+        # all of them, ``other`` covers ``self`` and is the join.
+        covered = 0
         for node, clock in theirs.items():
-            if get(node, 0) < clock:
+            own = mine.get(node, 0)
+            if clock > own:
+                if merged is None:
+                    merged = dict(mine)
                 merged[node] = clock
+                if own:
+                    covered += 1
+            elif clock == own:
+                covered += 1
+        if merged is None:
+            return self
+        if covered == len(mine):
+            return other
         return VectorClock._trusted(merged)
 
     def reveal(self) -> Dict[str, int]:
@@ -86,14 +112,17 @@ class VectorClock(Lattice):
 
     def dominates(self, other: "VectorClock") -> bool:
         """True when ``self`` >= ``other`` in every entry and > in at least one."""
-        at_least_equal = all(
-            self.get(node) >= clock for node, clock in other._entries.items()
-        )
-        strictly_greater = any(
-            self.get(node) > other.get(node)
-            for node in set(self._entries) | set(other._entries)
-        )
-        return at_least_equal and strictly_greater
+        mine = self._entries
+        strictly_greater = False
+        for node, clock in other._entries.items():
+            own = mine.get(node, 0)
+            if own < clock:
+                return False
+            if own > clock:
+                strictly_greater = True
+        # Every entry of ``other`` is matched; with positive entries only,
+        # ``self`` is otherwise greater exactly when it holds extra nodes.
+        return strictly_greater or len(mine) > len(other._entries)
 
     def dominates_or_equal(self, other: "VectorClock") -> bool:
         return self == other or self.dominates(other)
@@ -104,6 +133,19 @@ class VectorClock(Lattice):
             and not self.dominates(other)
             and not other.dominates(self)
         )
+
+    def concurrent_or_newer(self, required: "VectorClock") -> bool:
+        """True unless ``required`` strictly dominates ``self``.
+
+        The causal protocols' validity test (§5.3, Algorithm 2): a local
+        version may be served when it equals, dominates or is concurrent with
+        the required one.  Equivalent to ``self.dominates_or_equal(required)
+        or self.concurrent_with(required)``, in at most one pass instead of
+        up to three.  Most checks compare a clock with itself (the dependency
+        was recorded from the very version the cache holds), hence the
+        identity test first.
+        """
+        return required is self or not required.dominates(self)
 
     def happened_before(self, other: "VectorClock") -> bool:
         """True when ``self`` -> ``other`` in Lamport's happens-before order."""

@@ -10,6 +10,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from repro.bench import engine_throughput_errors
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 _SPEC = importlib.util.spec_from_file_location(
     "bench_run_all", REPO_ROOT / "benchmarks" / "run_all.py")
@@ -227,6 +229,23 @@ class TestScalingAndEngineGates:
         payload["engine_throughput"]["events_per_sec"] = 50_000.0
         errors = run_all.collect_gate_errors(payload)
         assert any("fell below the" in e for e in errors)
+
+    def test_hot_path_rates_below_their_floors_are_flagged(self):
+        section = dict(good_engine_throughput(),
+                       causal_merge_per_sec=70_000.0,
+                       causal_merge_floor_per_sec=25_000.0,
+                       causal_cut_checks_per_sec=900_000.0,
+                       causal_cut_floor_checks_per_sec=350_000.0,
+                       locality_placements_per_sec=16_000.0,
+                       locality_floor_placements_per_sec=6_000.0)
+        assert engine_throughput_errors(section) == []
+        section["causal_cut_checks_per_sec"] = 150_000.0
+        section["locality_placements_per_sec"] = 2_000.0
+        errors = engine_throughput_errors(section)
+        assert len(errors) == 2
+        assert any(e.startswith("engine_throughput: causal_cut at") for e in errors)
+        assert any(e.startswith("engine_throughput: locality_scoring at")
+                   for e in errors)
 
 
 class TestFaultRecoveryGate:
