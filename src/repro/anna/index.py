@@ -84,16 +84,13 @@ class KeyCacheIndex:
         self._cache_to_keys.pop(cache_id, None)
 
     # -- lookups -------------------------------------------------------------------
-    def caches_for(self, key: str) -> FrozenSet[str]:
-        return frozenset(self._key_to_caches.get(key, frozenset()))
-
-    def holders(self, key: str) -> AbstractSet[str]:
+    def caches_for(self, key: str) -> AbstractSet[str]:
         """The caches holding ``key``, without copying: read it, never keep it.
 
         The returned set is the index's live state (it changes on the next
-        snapshot or entry update).  Callers that iterate it once — locality
-        scoring walks every referenced key's holders per placement — skip
-        the frozenset copy :meth:`caches_for` makes.
+        snapshot or entry update).  Locality scoring walks every referenced
+        key's holders per placement, so a copy here would be paid once per
+        thread per reference.
         """
         return self._key_to_caches.get(key, _NO_HOLDERS)
 

@@ -141,7 +141,7 @@ class LocalityPlacementPolicy(PlacementPolicy):
         index = scheduler.kvs.cache_index
         counts: Dict[str, int] = {}
         for ref in references:
-            for cache_id in index.holders(ref.key):
+            for cache_id in index.caches_for(ref.key):
                 counts[cache_id] = counts.get(cache_id, 0) + 1
         if not counts:
             return None

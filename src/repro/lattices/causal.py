@@ -38,8 +38,8 @@ class CausalLattice(Lattice):
     ``with_dependency``) returns a lattice and nothing may mutate
     ``dependencies`` in place.  That makes the merge fast paths exact:
 
-    * ``merge`` returns an operand when the other adds nothing to it (same
-      object, or every sibling and dependency clock of the other is already
+    * ``merge`` returns ``self`` when ``other`` adds nothing to it (same
+      object, or every sibling and dependency clock of ``other`` is already
       held by identity or covered), and ``with_dependency`` returns ``self``
       when the clock is already covered.  The result equals what a fresh
       build would produce; it is merely not a new object.
@@ -54,8 +54,8 @@ class CausalLattice(Lattice):
       Equal but distinct values are always re-measured.
     """
 
-    __slots__ = ("dependencies", "_siblings", "_clock", "_deps_bytes",
-                 "_meta_bytes", "_payload_bytes", "_total_bytes")
+    __slots__ = ("dependencies", "_siblings", "_clock", "_meta_bytes",
+                 "_payload_bytes", "_total_bytes")
 
     def __init__(self, vector_clock: Optional[VectorClock] = None, value: Any = None,
                  dependencies: Optional[Mapping[str, VectorClock]] = None,
@@ -71,7 +71,6 @@ class CausalLattice(Lattice):
         # vector_clock/metadata_bytes/size_bytes on every read, which made
         # re-deriving them the single hottest path in a fig12 profile.
         self._clock: Optional[VectorClock] = None
-        self._deps_bytes: Optional[int] = None
         self._meta_bytes: Optional[int] = None
         self._payload_bytes: Optional[int] = None
         self._total_bytes: Optional[int] = None
@@ -79,21 +78,17 @@ class CausalLattice(Lattice):
     @classmethod
     def _assemble(cls, dependencies: Dict[str, VectorClock],
                   siblings: Tuple[Sibling, ...],
-                  source: Optional["CausalLattice"] = None,
-                  deps_bytes: Optional[int] = None) -> "CausalLattice":
+                  source: Optional["CausalLattice"] = None) -> "CausalLattice":
         """Wrap a dependency dict and an already-pruned antichain, uncopied.
 
         ``source`` is a lattice whose siblings hold the same value objects
         as ``siblings``; its computed payload size (and joined clock, when
         the sibling clocks are the same objects too) carries over.
-        ``deps_bytes`` is the dependency set's size when the caller derived
-        it from a known size and the entries that changed.
         """
         lattice = object.__new__(cls)
         lattice.dependencies = dependencies
         lattice._siblings = siblings
         lattice._clock = None
-        lattice._deps_bytes = deps_bytes
         lattice._meta_bytes = None
         lattice._payload_bytes = None
         lattice._total_bytes = None
@@ -110,7 +105,6 @@ class CausalLattice(Lattice):
         other = self._check_type(other)
         deps = self.dependencies
         merged_deps = None
-        deps_bytes = self._deps_bytes
         for key, clock in other.dependencies.items():
             held = deps.get(key)
             if held is clock:
@@ -121,8 +115,6 @@ class CausalLattice(Lattice):
             if merged_deps is None:
                 merged_deps = dict(deps)
             merged_deps[key] = joined
-            if deps_bytes is not None:
-                deps_bytes += _entry_growth(key, held, joined)
         mine, theirs = self._siblings, other._siblings
         if _holds_all(mine, theirs):
             siblings = mine
@@ -133,8 +125,6 @@ class CausalLattice(Lattice):
         if merged_deps is None:
             if siblings is mine:
                 return self
-            if siblings is theirs and _same_dependencies(other.dependencies, deps):
-                return other
             merged_deps = deps
         if _same_values(siblings, mine):
             source = self
@@ -142,7 +132,7 @@ class CausalLattice(Lattice):
             source = other
         else:
             source = None
-        return CausalLattice._assemble(merged_deps, siblings, source, deps_bytes)
+        return CausalLattice._assemble(merged_deps, siblings, source)
 
     def reveal(self) -> Any:
         """Return one version via a deterministic tie break (§5.2)."""
@@ -183,10 +173,7 @@ class CausalLattice(Lattice):
             return self
         deps = dict(self.dependencies)
         deps[key] = joined
-        deps_bytes = self._deps_bytes
-        if deps_bytes is not None:
-            deps_bytes += _entry_growth(key, held, joined)
-        return CausalLattice._assemble(deps, self._siblings, self, deps_bytes)
+        return CausalLattice._assemble(deps, self._siblings, self)
 
     def metadata_bytes(self) -> int:
         """Size of the causal metadata (vector clocks + dependency set).
@@ -196,12 +183,10 @@ class CausalLattice(Lattice):
         """
         meta = self._meta_bytes
         if meta is None:
-            deps_bytes = self._deps_bytes
-            if deps_bytes is None:
-                deps_bytes = self._deps_bytes = sum(
-                    len(key.encode("utf-8")) + clock.size_bytes()
-                    for key, clock in self.dependencies.items()
-                )
+            deps_bytes = sum(
+                len(key.encode("utf-8")) + clock.size_bytes()
+                for key, clock in self.dependencies.items()
+            )
             clock_bytes = sum(clock.size_bytes() for clock, _ in self._siblings)
             meta = self._meta_bytes = clock_bytes + deps_bytes
         return meta
@@ -225,13 +210,6 @@ class CausalLattice(Lattice):
             tuple(sorted(((clock, _tie_break_key(value)) for clock, value in self._siblings),
                          key=lambda pair: (pair[0]._identity(), pair[1]))),
         )
-
-
-def _entry_growth(key: str, held: Optional[VectorClock], joined: VectorClock) -> int:
-    """Bytes a dependency set grows by when ``key``'s clock becomes ``joined``."""
-    if held is None:
-        return len(key.encode("utf-8")) + joined.size_bytes()
-    return joined.size_bytes() - held.size_bytes()
 
 
 def _prune(siblings: Iterable[Sibling]) -> Tuple[Sibling, ...]:
@@ -290,13 +268,6 @@ def _holds_all(held: Tuple[Sibling, ...], incoming: Tuple[Sibling, ...]) -> bool
 def _same_values(a: Tuple[Sibling, ...], b: Tuple[Sibling, ...]) -> bool:
     """Whether two sibling tuples carry the same value objects, in order."""
     return len(a) == len(b) and all(x[1] is y[1] for x, y in zip(a, b))
-
-
-def _same_dependencies(a: Dict[str, VectorClock], b: Dict[str, VectorClock]) -> bool:
-    """Same keys in the same order, each with the very same clock object."""
-    return len(a) == len(b) and all(
-        key_a == key_b and clock_a is clock_b
-        for (key_a, clock_a), (key_b, clock_b) in zip(a.items(), b.items()))
 
 
 def _values_equal(a: Any, b: Any) -> bool:
